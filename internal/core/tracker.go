@@ -269,6 +269,16 @@ func (t *Tracker) Reset() {
 	t.mom.Reset()
 }
 
+// ResetFull returns the tracker to its as-constructed state. Reset keeps
+// the fit count, so a same-stream re-seed blends its first fits at the
+// settled damping; ResetFull is for recycling the tracker onto a
+// different stream (session pooling), whose first fits must converge
+// from scratch exactly as a new tracker's do.
+func (t *Tracker) ResetFull() {
+	t.Reset()
+	t.fitCount = 0
+}
+
 func hypot(a, b float64) float64 {
 	// math.Hypot handles overflow gracefully but is slower; the
 	// magnitudes here are O(1), so the direct form is safe.

@@ -17,11 +17,22 @@ import (
 // configured frame rate) one core sustains; the allocation budget in CI
 // is zero — the pool and the flat queues make the steady state
 // alloc-free however many sessions churn through.
-func BenchmarkFleet(b *testing.B) {
+func BenchmarkFleet(b *testing.B) { benchFleet(b, 512, 512) }
+
+// BenchmarkFleetSparse is BenchmarkFleet on a mostly idle node: 512
+// sessions attached, 8 of them streaming. A worker wake must cost what
+// the sessions with frames cost, not what the attached ones do, and
+// idle sessions must add no allocations (the CI budget is zero). With
+// only 128 frames in flight the workers sleep and wake far more often
+// per frame than in BenchmarkFleet, so its ns/op is higher.
+func BenchmarkFleetSparse(b *testing.B) { benchFleet(b, 512, 8) }
+
+// benchFleet attaches sessions sessions and streams frames round-robin
+// through the first streaming of them.
+func benchFleet(b *testing.B, sessions, streaming int) {
 	const (
-		sessions = 512
-		bins     = 40
-		prime    = 160 // frames fed per session before timing starts
+		bins  = 40
+		prime = 160 // frames fed per streaming session before timing starts
 	)
 	cfg := Config{
 		NumBins:   bins,
@@ -53,25 +64,27 @@ func BenchmarkFleet(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	// Prime every session past cold start so the timed region measures
-	// steady state, not amortised warm-up growth.
+	ids = ids[:streaming]
+	inFlight := uint64(streaming * 16)
+	// Prime every streaming session past cold start so the timed region
+	// measures steady state, not amortised warm-up growth.
 	for f := 0; f < prime; f++ {
 		for _, id := range ids {
 			if err := m.Submit(id, bank[f%len(bank)]); err != nil {
 				b.Fatal(err)
 			}
 		}
-		pace(m, sessions*16)
+		pace(m, inFlight)
 	}
 	waitIdle(b, m)
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := m.Submit(ids[i%sessions], bank[i%len(bank)]); err != nil {
+		if err := m.Submit(ids[i%streaming], bank[i%len(bank)]); err != nil {
 			b.Fatal(err)
 		}
-		pace(m, sessions*16)
+		pace(m, inFlight)
 	}
 	waitIdle(b, m)
 	b.StopTimer()

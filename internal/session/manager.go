@@ -136,8 +136,21 @@ type shard struct {
 	mu       sync.RWMutex
 	sessions map[string]*Session
 	free     []*Session // free-list pool, guarded by mgr.admit
+	owned    int        // sessions in the map plus the free list, guarded by mgr.admit
 	wake     chan struct{}
-	scratch  []*Session //blinkradar:confined shard
+
+	// ready is the FIFO of sessions with queued frames, each on it at
+	// most once (Session.scheduled). Attach keeps its capacity at or
+	// above owned, so appending never grows it. The worker swaps it
+	// with scratch, its spare, to drain a round outside rqMu.
+	rqMu    sync.Mutex
+	ready   []*Session
+	scratch []*Session //blinkradar:confined shard
+
+	// queued counts frames queued across the shard's sessions; each
+	// session moves it together with its own depth, under its qmu.
+	queued   atomic.Int64
+	attached atomic.Int64 // sessions in the map
 
 	gSessions   *obs.Gauge
 	gQueued     *obs.Gauge
@@ -301,7 +314,9 @@ func (m *Manager) Attach(id string) error {
 		if err != nil {
 			return err
 		}
-		s = newSession(m.cfg.NumBins, m.cfg.QueueFrames, mon, m.cfg.WindowSec)
+		s = newSession(m.cfg.NumBins, m.cfg.QueueFrames, mon, m.cfg.WindowSec, &sh.queued)
+		sh.owned++
+		sh.reserveReady(sh.owned)
 		m.poolMisses.Add(1)
 		m.mPoolMisses.Inc()
 	}
@@ -312,11 +327,25 @@ func (m *Manager) Attach(id string) error {
 	sh.sessions[id] = s
 	nShard = len(sh.sessions)
 	sh.mu.Unlock()
+	sh.attached.Add(1)
 	m.nSessions++
 	m.attaches.Add(1)
 	m.mAttaches.Inc()
 	sh.gSessions.Set(float64(nShard))
+	sh.wakeWorker() // republish the saturation gauge
 	return nil
+}
+
+// reserveReady grows the ready list's backing array to hold n sessions,
+// so that scheduling a session never allocates. Caller holds mgr.admit.
+func (sh *shard) reserveReady(n int) {
+	sh.rqMu.Lock()
+	if cap(sh.ready) < n {
+		grown := make([]*Session, len(sh.ready), max(n, 2*cap(sh.ready)))
+		copy(grown, sh.ready)
+		sh.ready = grown
+	}
+	sh.rqMu.Unlock()
 }
 
 // Detach removes a session, recycles its state into the shard pool, and
@@ -337,9 +366,11 @@ func (m *Manager) Detach(id string) (SessionStats, error) {
 		return SessionStats{}, ErrSessionNotFound
 	}
 	// Wait out any in-flight feed batch, then recycle under the lock.
+	// The session may still be on the ready list; it keeps its
+	// scheduled flag, so the worker's next visit finds it dry and clears
+	// it, and a re-attach never puts it on the list twice.
 	s.feedMu.Lock()
-	discarded := uint64(s.queued())
-	stats := s.recycle(m.cfg.WindowSec)
+	stats, discarded := s.recycle(m.cfg.WindowSec)
 	s.feedMu.Unlock()
 	stats.ID = id
 	if discarded > 0 {
@@ -349,11 +380,13 @@ func (m *Manager) Detach(id string) (SessionStats, error) {
 		m.frDropped.Add(discarded)
 		m.mDropped.Add(discarded)
 	}
+	sh.attached.Add(-1)
 	sh.free = append(sh.free, s)
 	m.nSessions--
 	m.detaches.Add(1)
 	m.mDetaches.Inc()
 	sh.gSessions.Set(float64(nShard))
+	sh.wakeWorker() // republish the backlog gauges
 	return stats, nil
 }
 
@@ -415,9 +448,11 @@ func (m *Manager) submit(id string, pi, pq []float32, frame []complex128) error 
 		s.qmu.Unlock()
 		return ErrSessionNotFound
 	}
+	// The session counters move under qmu, so a concurrent recycle
+	// (which bumps gen under qmu) either sees this frame or rejects it.
 	if limit > 0 && !s.takeToken(m.cfg.Now(), limit, burst) {
-		s.qmu.Unlock()
 		s.limited.Add(1)
+		s.qmu.Unlock()
 		m.frLimited.Add(1)
 		m.mLimited.Inc()
 		return ErrRateLimited
@@ -428,20 +463,27 @@ func (m *Manager) submit(id string, pi, pq []float32, frame []complex128) error 
 	} else {
 		accepted = s.push(pi, pq)
 	}
+	s.submitted.Add(1)
+	if !accepted {
+		s.dropped.Add(1)
+	}
 	from, to, changed := s.noteSubmit(accepted, m.cfg.DropWindowFrames, m.cfg.WidenAtDropFrac, m.cfg.DegradeAtDropFrac)
 	s.qmu.Unlock()
-	s.submitted.Add(1)
 	m.framesIn.Add(1)
 	m.mFrames.Inc()
 	if !accepted {
-		s.dropped.Add(1)
 		m.frDropped.Add(1)
 		m.mDropped.Inc()
 	}
 	if changed {
 		m.applyPressure(s, from, to)
 	}
-	sh.wakeWorker()
+	// A dropped frame found the queue full, so the session is already
+	// scheduled. Scheduling after applyPressure means the worker's
+	// clear-then-recheck also sees any new window span.
+	if accepted {
+		sh.schedule(s)
+	}
 	return nil
 }
 
@@ -528,8 +570,8 @@ type ManagerStats struct {
 	Widens, Degrades uint64
 }
 
-// Stats aggregates accounting across every shard. The per-session walk
-// (for Queued) takes each shard's read lock briefly.
+// Stats aggregates accounting across every shard from counters alone:
+// it is O(shards) and takes no lock.
 func (m *Manager) Stats() ManagerStats {
 	st := ManagerStats{
 		Attaches:   m.attaches.Load(),
@@ -545,12 +587,8 @@ func (m *Manager) Stats() ManagerStats {
 		Degrades:   m.degrades.Load(),
 	}
 	for _, sh := range m.shards {
-		sh.mu.RLock()
-		st.Sessions += len(sh.sessions)
-		for _, s := range sh.sessions {
-			st.Queued += uint64(s.queued())
-		}
-		sh.mu.RUnlock()
+		st.Sessions += int(sh.attached.Load())
+		st.Queued += uint64(sh.queued.Load())
 	}
 	return st
 }
@@ -576,6 +614,33 @@ func (m *Manager) Close() error {
 	return nil
 }
 
+// schedule puts s on the ready list and wakes the worker, unless s is
+// already on it (or in the worker's hands, about to be requeued or to
+// re-check its queue).
+//
+//blinkradar:hotpath
+func (sh *shard) schedule(s *Session) {
+	if !s.scheduled.CompareAndSwap(false, true) {
+		return
+	}
+	sh.enqueue(s)
+	sh.wakeWorker()
+}
+
+// enqueue appends s to the ready list's tail. The list holds each of
+// the shard's sessions at most once and reserveReady keeps its capacity
+// at the shard's session count, so the reslice stays within the
+// backing array.
+//
+//blinkradar:hotpath
+func (sh *shard) enqueue(s *Session) {
+	sh.rqMu.Lock()
+	n := len(sh.ready)
+	sh.ready = sh.ready[:n+1]
+	sh.ready[n] = s
+	sh.rqMu.Unlock()
+}
+
 // wakeWorker nudges the shard worker; a pending nudge is enough.
 //
 //blinkradar:hotpath
@@ -586,10 +651,9 @@ func (sh *shard) wakeWorker() {
 	}
 }
 
-// run is the shard worker: drain every session's queue in bounded
-// batches until nothing is left, then sleep on the wake channel. It is
-// the root of the shard domain — the scratch snapshot below is touched
-// only from here.
+// run is the shard worker: drain the ready list in rounds until it is
+// empty, then sleep on the wake channel. It is the root of the shard
+// domain — scratch is touched only from here.
 //
 //blinkradar:entry shard
 func (sh *shard) run() {
@@ -599,7 +663,12 @@ func (sh *shard) run() {
 			return
 		case <-sh.wake:
 		}
-		for sh.drainPass() > 0 {
+		for {
+			visited := sh.drainRound()
+			sh.publishQueued()
+			if visited == 0 {
+				break
+			}
 			select {
 			case <-sh.mgr.stop:
 				return
@@ -609,47 +678,71 @@ func (sh *shard) run() {
 	}
 }
 
-// drainPass feeds up to DrainBatchFrames frames from every session and
-// reports the total fed. The session snapshot is taken under the read
-// lock into a reused scratch slice so the map is never held across
-// pipeline work.
-func (sh *shard) drainPass() int {
-	sh.scratch = sh.scratch[:0]
-	sh.mu.RLock()
-	for _, s := range sh.sessions {
-		sh.scratch = append(sh.scratch, s)
+// drainRound swaps the ready list into scratch and feeds one bounded
+// batch from each session on it, in FIFO order; a session that still
+// has frames goes back on the tail, behind every session scheduled
+// meanwhile. It reports the sessions visited (0: the list was empty).
+func (sh *shard) drainRound() int {
+	sh.rqMu.Lock()
+	batch := sh.ready
+	sh.ready = sh.scratch[:0]
+	if cap(sh.ready) < cap(batch) {
+		// reserveReady grew the list since the last swap; the spare
+		// follows once.
+		sh.ready = make([]*Session, 0, cap(batch))
 	}
-	sh.mu.RUnlock()
-	total, queued := 0, 0
-	for _, s := range sh.scratch {
-		total += sh.drainSession(s)
-		queued += s.queued()
+	sh.rqMu.Unlock()
+	for i, s := range batch {
+		if sh.drainSession(s) {
+			sh.enqueue(s)
+		}
+		batch[i] = nil
 	}
-	sh.gQueued.Set(float64(queued))
-	if capacity := len(sh.scratch) * sh.mgr.cfg.QueueFrames; capacity > 0 {
-		sh.gSaturation.Set(float64(queued) / float64(capacity))
+	sh.scratch = batch[:0]
+	return len(batch)
+}
+
+// publishQueued exports the shard's backlog gauges. Only the worker
+// publishes, and a round follows every change to the counts: a push
+// leaves its session scheduled, pops happen in rounds, and Attach and
+// Detach wake the worker. So the last publication reads the final
+// counts.
+func (sh *shard) publishQueued() {
+	if sh.gQueued == nil {
+		return
+	}
+	queued := float64(sh.queued.Load())
+	sh.gQueued.Set(queued)
+	if capacity := sh.attached.Load() * int64(sh.mgr.cfg.QueueFrames); capacity > 0 {
+		sh.gSaturation.Set(queued / float64(capacity))
 	} else {
 		sh.gSaturation.Set(0)
 	}
-	for i := range sh.scratch {
-		sh.scratch[i] = nil
-	}
-	return total
 }
 
 // drainSession feeds one bounded batch from a session's queue through
-// its pipeline. peek/commitPop bracket each feed so the slot cannot be
-// overwritten mid-feed; feedMu keeps detach from recycling state under
-// the worker — making this the worker-side entry of the feed domain.
+// its pipeline and reports whether the session must stay scheduled.
+// peek/commitPop bracket each feed so the slot cannot be overwritten
+// mid-feed; feedMu keeps detach from recycling state under the worker —
+// making this the worker-side entry of the feed domain.
+//
+// A session that ran dry clears its scheduled flag and then re-checks
+// its queue and wanted window: a submitter whose CAS saw the flag still
+// set pushed before the clear, so the re-check sees its frame and the
+// worker re-schedules the session itself. This closes the lost-wakeup
+// race without holding qmu across the flag.
 //
 //blinkradar:entry feed
-func (sh *shard) drainSession(s *Session) int {
+func (sh *shard) drainSession(s *Session) bool {
 	s.feedMu.Lock()
 	defer s.feedMu.Unlock()
-	if want := s.loadWantWindow(); want != s.appliedWindow {
-		if err := s.mon.SetWindowSec(want); err == nil {
-			s.appliedWindow = want
-		}
+	if s.windowStale() {
+		// SetWindowSec refuses only non-positive spans, which the
+		// config never yields; the span is recorded either way so a
+		// refusal cannot keep the session scheduled forever.
+		want := s.loadWantWindow()
+		_ = s.mon.SetWindowSec(want)
+		s.appliedWindow = want
 	}
 	cfg := &sh.mgr.cfg
 	fed := 0
@@ -662,9 +755,11 @@ func (sh *shard) drainSession(s *Session) int {
 			s.mon.NoteGap(gap)
 		}
 		ev, okEv, a, err := s.mon.FeedPlanes(pi, pq)
-		s.commitPop()
+		// Count the frame before its slot leaves the backlog, so a
+		// reader that sees the backlog empty sees every frame counted.
 		s.processed.Add(1)
 		sh.mgr.frDone.Add(1)
+		s.commitPop()
 		fed++
 		if err != nil {
 			s.assessErrs.Add(1)
@@ -682,5 +777,9 @@ func (sh *shard) drainSession(s *Session) int {
 			}
 		}
 	}
-	return fed
+	if fed == cfg.DrainBatchFrames {
+		return true
+	}
+	s.scheduled.Store(false)
+	return (s.queued() > 0 || s.windowStale()) && s.scheduled.CompareAndSwap(false, true)
 }

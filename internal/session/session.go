@@ -78,6 +78,9 @@ type Session struct {
 	slots      int
 	bins       int
 	pendingGap uint64
+	// backlog is the owning shard's queued-frame count. It moves with n
+	// under qmu, so the shard's sum is exact without visiting sessions.
+	backlog *atomic.Int64
 
 	// Token bucket (under qmu). Refilled from the manager clock.
 	tokens     float64
@@ -99,6 +102,12 @@ type Session struct {
 	// hands mid-feed.
 	feedMu sync.Mutex
 
+	// scheduled is set while the session is on its shard's ready list
+	// or in the worker's current round. Whoever sets it false→true
+	// appends the session, so the list never holds it twice. Recycling
+	// leaves it alone: a detached session may still be on the list.
+	scheduled atomic.Bool
+
 	// gen increments on every recycle. A submitter captures it at map
 	// lookup and re-checks under qmu, so a Submit racing a Detach can
 	// never push into a recycled (or re-attached) session.
@@ -119,14 +128,15 @@ type Session struct {
 // no other goroutine can see the state it initializes.
 //
 //blinkradar:entry feed
-func newSession(bins, slots int, mon *blinkradar.Monitor, windowSec float64) *Session {
+func newSession(bins, slots int, mon *blinkradar.Monitor, windowSec float64, backlog *atomic.Int64) *Session {
 	s := &Session{
-		mon:   mon,
-		bufI:  make([]float32, bins*slots),
-		bufQ:  make([]float32, bins*slots),
-		gaps:  make([]uint64, slots),
-		slots: slots,
-		bins:  bins,
+		mon:     mon,
+		bufI:    make([]float32, bins*slots),
+		bufQ:    make([]float32, bins*slots),
+		gaps:    make([]uint64, slots),
+		slots:   slots,
+		bins:    bins,
+		backlog: backlog,
 	}
 	s.appliedWindow = windowSec
 	s.wantWindow.Store(math.Float64bits(windowSec))
@@ -183,6 +193,7 @@ func (s *Session) claimSlot() (int, bool) {
 	s.gaps[slot] = s.pendingGap
 	s.pendingGap = 0
 	s.n++
+	s.backlog.Add(1)
 	return slot, true
 }
 
@@ -216,6 +227,7 @@ func (s *Session) commitPop() {
 		s.head = 0
 	}
 	s.n--
+	s.backlog.Add(-1)
 	s.qmu.Unlock()
 }
 
@@ -294,18 +306,29 @@ func (s *Session) loadWantWindow() float64 {
 	return math.Float64frombits(s.wantWindow.Load())
 }
 
+// windowStale reports whether the wanted window span differs from the
+// one last applied to the monitor. Caller holds feedMu.
+func (s *Session) windowStale() bool {
+	return s.wantWindow.Load() != math.Float64bits(s.appliedWindow)
+}
+
 // recycle returns the session to pooled idle state and reports its
-// final accounting. Frames still queued were never fed; they are folded
-// into the dropped count so submitted == processed + dropped holds at
-// detach. Caller holds feedMu and has already removed the session from
-// its shard map, so neither the worker nor a submitter can race this —
-// which is exactly the ownership the feed domain requires.
+// final accounting plus the number of queued frames it discarded.
+// Frames still queued were never fed; they are folded into the dropped
+// count so submitted == processed + dropped holds at detach. The count
+// is taken under the same qmu hold that bumps gen, so a submitter that
+// looked the session up before the detach is either counted here or
+// rejected. Caller holds feedMu and has already removed the session
+// from its shard map, so the worker cannot feed it meanwhile — which is
+// exactly the ownership the feed domain requires.
 //
 //blinkradar:entry feed
-func (s *Session) recycle(windowSec float64) SessionStats {
+func (s *Session) recycle(windowSec float64) (SessionStats, uint64) {
 	s.qmu.Lock()
 	s.gen.Add(1)
-	s.dropped.Add(uint64(s.n))
+	discarded := uint64(s.n)
+	s.dropped.Add(discarded)
+	s.backlog.Add(-int64(s.n))
 	s.head, s.n = 0, 0
 	s.pendingGap = 0
 	s.tokens = 0
@@ -329,7 +352,7 @@ func (s *Session) recycle(windowSec float64) SessionStats {
 	s.blinks.Store(0)
 	s.assessments.Store(0)
 	s.assessErrs.Store(0)
-	return stats
+	return stats, discarded
 }
 
 // snapshot collects the session's accounting without the queue depth.
