@@ -190,9 +190,6 @@ var (
 	WithThresholdK = core.WithThresholdK
 	// WithAdaptiveUpdate toggles adaptive viewing-position updates.
 	WithAdaptiveUpdate = core.WithAdaptiveUpdate
-	// WithParallelism bounds the worker pool of the parallel pipeline
-	// stages (0 = GOMAXPROCS, 1 = serial).
-	WithParallelism = core.WithParallelism
 )
 
 // Vital-sign estimation (the embedded interference, made useful).

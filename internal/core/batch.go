@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
 	"blinkradar/internal/rf"
@@ -30,12 +31,12 @@ func DetectBatch(cfg Config, captures []*rf.FrameMatrix, parallelism int, opts .
 	if len(captures) == 0 {
 		return results, nil
 	}
-	workers := resolveWorkers(parallelism, len(captures))
-	if workers > 1 {
-		// The batch already saturates the pool; nested fan-out inside
-		// each detector's bin selection would only oversubscribe the
-		// scheduler. Selection results are identical either way.
-		opts = append(append([]Option(nil), opts...), WithParallelism(1))
+	workers := parallelism
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > len(captures) {
+		workers = len(captures)
 	}
 	run := func(i int) {
 		m := captures[i]

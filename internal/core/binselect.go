@@ -75,19 +75,18 @@ func scoreBinRes(bin int, series []complex128, res []float64) BinScore {
 // BinSeries supplies the recent background-subtracted slow-time samples
 // of one range bin. Implementations fill buf (growing it when its
 // capacity is too small) and return the filled slice, so callers that
-// score many bins can reuse one window buffer per worker instead of
-// allocating per bin. Implementations must be safe for concurrent calls
-// with distinct buffers.
+// score many bins can reuse one window buffer instead of allocating per
+// bin.
 type BinSeries func(bin int, buf []complex128) []complex128
 
 // BinStats supplies the covariance entries of one bin's recent
-// slow-time window in O(1), typically from sliding sums maintained on
-// push (see binRing): varI and varQ are the per-axis variances about
-// the centroid, covIQ the cross term. Passing nil to the selection
-// entry points falls back to walking every bin's series, which is
-// O(bins·window) with a copy per bin. The covariance also tightens the
-// candidate pruning bound: arc quality never exceeds the eccentricity
-// factor, which is a pure function of these three entries.
+// slow-time window without a series copy, typically one strided pass
+// over the stored window (see binRing): varI and varQ are the per-axis
+// variances about the centroid, covIQ the cross term. Passing nil to
+// the selection entry points falls back to gathering every bin's
+// series, which copies each window first. The covariance also tightens
+// the candidate pruning bound: arc quality never exceeds the
+// eccentricity factor, which is a pure function of these three entries.
 type BinStats func(bin int) (varI, varQ, covIQ float64)
 
 // SelectScratch holds the reusable working storage of one selection
@@ -117,27 +116,15 @@ type SelectScratch struct {
 // eccentricity factor) are skipped by the scoring bound and carry their
 // variance with a zero score. topK must be positive; stats may be nil.
 func SelectBin(series BinSeries, stats BinStats, numBins, guard, topK int) (BinScore, []BinScore, error) {
-	return SelectBinParallel(series, stats, numBins, guard, topK, 1)
-}
-
-// SelectBinParallel is SelectBin with the nil-stats variance pass
-// fanned out across a bounded worker pool (workers <= 0 selects
-// GOMAXPROCS). With a non-nil stats source that pass is O(bins) reads
-// and runs serially — forking workers would cost more than the reads.
-// The candidate arc scoring itself is a sequential bound-ordered scan
-// with early exit (see below), so it prunes most candidates outright
-// instead of fanning them out; results are bit-identical for any
-// worker count.
-func SelectBinParallel(series BinSeries, stats BinStats, numBins, guard, topK, workers int) (BinScore, []BinScore, error) {
 	var scr SelectScratch
-	return SelectBinScratch(&scr, series, stats, numBins, guard, topK, workers)
+	return SelectBinScratch(&scr, series, stats, numBins, guard, topK)
 }
 
-// SelectBinScratch is SelectBinParallel with caller-owned working
-// storage; repeated calls with the same scratch allocate nothing once
-// the buffers have grown to the problem size. The returned candidate
-// slice aliases the scratch.
-func SelectBinScratch(scr *SelectScratch, series BinSeries, stats BinStats, numBins, guard, topK, workers int) (BinScore, []BinScore, error) {
+// SelectBinScratch is SelectBin with caller-owned working storage;
+// repeated calls with the same scratch allocate nothing once the
+// buffers have grown to the problem size. The returned candidate slice
+// aliases the scratch.
+func SelectBinScratch(scr *SelectScratch, series BinSeries, stats BinStats, numBins, guard, topK int) (BinScore, []BinScore, error) {
 	if numBins <= guard {
 		return BinScore{}, nil, fmt.Errorf("core: no bins beyond guard (%d bins, guard %d)", numBins, guard)
 	}
@@ -151,15 +138,11 @@ func SelectBinScratch(scr *SelectScratch, series BinSeries, stats BinStats, numB
 			varI, varQ, _ := stats(guard + i)
 			variances[i] = BinScore{Bin: guard + i, Variance: varI + varQ}
 		}
-	} else if err := parallelChunks(len(variances), workers, func(lo, hi int) error {
-		var buf []complex128
-		for i := lo; i < hi; i++ {
-			buf = series(guard+i, buf)
-			variances[i] = BinScore{Bin: guard + i, Variance: iq.Variance2D(buf)}
+	} else {
+		for i := range variances {
+			scr.series = series(guard+i, scr.series)
+			variances[i] = BinScore{Bin: guard + i, Variance: iq.Variance2D(scr.series)}
 		}
-		return nil
-	}); err != nil {
-		return BinScore{}, nil, err
 	}
 	if topK > len(variances) {
 		topK = len(variances)
@@ -187,8 +170,7 @@ func SelectBinScratch(scr *SelectScratch, series BinSeries, stats BinStats, numB
 	// one candidate's bound falls below the best realised score, every
 	// remaining candidate is proven a loser and is returned with its
 	// variance only, unscored. The visit order depends only on the
-	// deterministic candidate ranking, never on worker scheduling, so
-	// any worker count returns bit-identical results.
+	// deterministic candidate ranking.
 	scr.bounds = growFloats(scr.bounds, topK)
 	scr.order = growInts(scr.order, topK)
 	bounds, order := scr.bounds, scr.order
@@ -269,11 +251,10 @@ func growInts(s []int, n int) []int {
 }
 
 // SelectBinMatrix is the offline convenience: selects the eye bin from
-// the trailing window of a preprocessed frame matrix, scoring
-// candidates across cfg.Parallelism workers. The variance ranking comes
-// from per-bin sums accumulated in one frame-major sweep — sequential
-// in memory, no per-bin series copies — so only the topK candidates
-// ever have their windows gathered.
+// the trailing window of a preprocessed frame matrix. The variance
+// ranking comes from per-bin sums accumulated in one frame-major sweep
+// — sequential in memory, no per-bin series copies — so only the topK
+// candidates ever have their windows gathered.
 func SelectBinMatrix(cfg Config, m *rf.FrameMatrix) (BinScore, error) {
 	window := cfg.SelectWindowFrames
 	if window > m.NumFrames() {
@@ -304,7 +285,8 @@ func SelectBinMatrix(cfg Config, m *rf.FrameMatrix) (BinScore, error) {
 	stats := func(bin int) (float64, float64, float64) {
 		return covFromSums(sumI[bin], sumQ[bin], sumII[bin], sumQQ[bin], sumIQ[bin], window)
 	}
-	best, _, err := SelectBinParallel(func(bin int, buf []complex128) []complex128 {
+	var scr SelectScratch
+	best, _, err := SelectBinScratch(&scr, func(bin int, buf []complex128) []complex128 {
 		if cap(buf) < window {
 			buf = make([]complex128, window)
 		}
@@ -313,7 +295,7 @@ func SelectBinMatrix(cfg Config, m *rf.FrameMatrix) (BinScore, error) {
 			buf[k] = m.Data[start+k][bin]
 		}
 		return buf
-	}, stats, m.NumBins(), cfg.GuardBins, cfg.CandidateTopK, cfg.Parallelism)
+	}, stats, m.NumBins(), cfg.GuardBins, cfg.CandidateTopK)
 	return best, err
 }
 

@@ -151,51 +151,6 @@ func TestSelectBinAllZeroVariance(t *testing.T) {
 	}
 }
 
-func TestSelectBinParallelMatchesSerial(t *testing.T) {
-	// The worker-pool fan-out must pick the same winner and produce the
-	// same ranked candidates as the serial path, for any worker count.
-	const bins, window = 64, 200
-	rng := rand.New(rand.NewSource(99))
-	data := make([][]complex128, bins)
-	for b := range data {
-		data[b] = make([]complex128, window)
-		amp := 0.01 + rng.Float64()
-		for k := range data[b] {
-			ph := 0.4 * math.Sin(2*math.Pi*0.25*float64(k)/25)
-			data[b][k] = cmplx.Rect(amp, ph) + complex(rng.NormFloat64()*0.004, rng.NormFloat64()*0.004)
-		}
-	}
-	series := func(bin int, buf []complex128) []complex128 {
-		if cap(buf) < window {
-			buf = make([]complex128, window)
-		}
-		buf = buf[:window]
-		copy(buf, data[bin])
-		return buf
-	}
-	serialBest, serialCands, err := SelectBin(series, nil, bins, 4, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 2, 3, 7, 16, 100} {
-		best, cands, err := SelectBinParallel(series, nil, bins, 4, 16, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if best != serialBest {
-			t.Fatalf("workers=%d: best %+v, serial %+v", workers, best, serialBest)
-		}
-		if len(cands) != len(serialCands) {
-			t.Fatalf("workers=%d: %d candidates, serial %d", workers, len(cands), len(serialCands))
-		}
-		for i := range cands {
-			if cands[i] != serialCands[i] {
-				t.Fatalf("workers=%d: candidate %d = %+v, serial %+v", workers, i, cands[i], serialCands[i])
-			}
-		}
-	}
-}
-
 // pushC pushes a complex frame through the ring's SoA planes, reusing
 // per-call conversion buffers (tests only).
 func pushC(r *binRing, frame []complex128) {

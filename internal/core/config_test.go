@@ -26,8 +26,6 @@ func TestConfigValidateRejections(t *testing.T) {
 		{"threshold frac", func(c *Config) { c.MinThresholdFrac = 1 }},
 		{"refractory", func(c *Config) { c.RefractorySec = -1 }},
 		{"distance smooth", func(c *Config) { c.DistanceSmoothFrames = 0 }},
-		{"fir", func(c *Config) { c.FIRCutoff = 0.9 }},
-		{"fast-time smooth", func(c *Config) { c.FastTimeSmoothBins = 0 }},
 		{"background tau", func(c *Config) { c.BackgroundTauSec = 0 }},
 		{"guard bins", func(c *Config) { c.GuardBins = -1 }},
 		{"select window", func(c *Config) { c.SelectWindowFrames = 5 }},

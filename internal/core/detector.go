@@ -22,7 +22,7 @@ type Detector struct {
 	fps  float64
 	bins int
 
-	pre     *Preprocessor
+	bg      *BackgroundSubtractor
 	ring    *binRing
 	tracker *Tracker
 	levd    *LEVD
@@ -107,7 +107,7 @@ func NewDetector(cfg Config, numBins int, frameRate float64, opts ...Option) (*D
 	if frameRate <= 0 {
 		return nil, fmt.Errorf("core: frame rate must be positive, got %g", frameRate)
 	}
-	pre, err := NewPreprocessor(cfg, numBins, frameRate)
+	bg, err := NewBackgroundSubtractor(numBins, frameRate, cfg.BackgroundTauSec)
 	if err != nil {
 		return nil, err
 	}
@@ -131,7 +131,7 @@ func NewDetector(cfg Config, numBins int, frameRate float64, opts ...Option) (*D
 		cfg:      cfg,
 		fps:      frameRate,
 		bins:     numBins,
-		pre:      pre,
+		bg:       bg,
 		ring:     newBinRing(numBins, window),
 		tracker:  tracker,
 		levd:     levd,
@@ -158,7 +158,7 @@ func (d *Detector) DeliveryLagSec() float64 { return d.levd.DeliveryLagSec() }
 // background clutter estimate, sigma history, event clock and all
 // counters are discarded — recycled state serves a different radar.
 func (d *Detector) Reset() {
-	d.pre.Reset()
+	d.bg.Reset()
 	d.ring.reset()
 	d.tracker.ResetFull()
 	d.levd.ResetFull()
@@ -307,7 +307,8 @@ func (d *Detector) Feed(frame []complex128) (BlinkEvent, bool, error) {
 		}()
 	}
 	d.cur.FromComplex(frame)
-	return d.feedCur(timed, start)
+	ev, ok := d.feedCur(timed, start)
+	return ev, ok, nil
 }
 
 // FeedPlanes is Feed for callers that already hold the frame as float32
@@ -315,11 +316,7 @@ func (d *Detector) Feed(frame []complex128) (BlinkEvent, bool, error) {
 // round-trip entirely. The input slices are not retained or modified.
 func (d *Detector) FeedPlanes(pi, pq []float32) (BlinkEvent, bool, error) {
 	if len(pi) != d.bins || len(pq) != d.bins {
-		n := len(pi)
-		if len(pq) != n {
-			n = -1
-		}
-		return BlinkEvent{}, false, fmt.Errorf("core: frame has %d bins, detector configured for %d", n, d.bins)
+		return BlinkEvent{}, false, fmt.Errorf("core: frame planes have %d I and %d Q bins, detector configured for %d", len(pi), len(pq), d.bins)
 	}
 	timed := d.mLatency != nil
 	var start time.Time
@@ -332,20 +329,20 @@ func (d *Detector) FeedPlanes(pi, pq []float32) (BlinkEvent, bool, error) {
 	}
 	copy(d.cur.I, pi)
 	copy(d.cur.Q, pq)
-	return d.feedCur(timed, start)
+	ev, ok := d.feedCur(timed, start)
+	return ev, ok, nil
 }
 
-// feedCur runs the pipeline over the frame staged in d.cur.
-func (d *Detector) feedCur(timed bool, start time.Time) (BlinkEvent, bool, error) {
+// feedCur runs the pipeline over the frame staged in d.cur, whose
+// length Feed and FeedPlanes have already checked.
+func (d *Detector) feedCur(timed bool, start time.Time) (BlinkEvent, bool) {
 	d.mFrames.Inc()
 	if !d.sanitizeFrame(d.cur.I, d.cur.Q) {
 		d.noteReject()
-		return BlinkEvent{}, false, nil
+		return BlinkEvent{}, false
 	}
 	d.noteAccept()
-	if err := d.pre.ProcessPlanes(d.cur.I, d.cur.Q); err != nil {
-		return BlinkEvent{}, false, err
-	}
+	d.bg.ApplyPlanes(d.cur.I, d.cur.Q)
 	if timed {
 		d.mStagePre.Observe(time.Since(start).Seconds())
 	}
@@ -360,7 +357,7 @@ func (d *Detector) feedCur(timed bool, start time.Time) (BlinkEvent, bool, error
 			d.selectBin(false)
 		}
 		d.pushTrace(0)
-		return BlinkEvent{}, false, nil
+		return BlinkEvent{}, false
 	}
 
 	var trackStart time.Time
@@ -373,7 +370,7 @@ func (d *Detector) feedCur(timed bool, start time.Time) (BlinkEvent, bool, error
 			d.mStageTrack.Observe(time.Since(trackStart).Seconds())
 		}
 		d.pushTrace(0)
-		return BlinkEvent{}, false, nil
+		return BlinkEvent{}, false
 	}
 	if !d.matured && d.tracker.Mature() {
 		d.matured = true
@@ -401,9 +398,9 @@ func (d *Detector) feedCur(timed bool, start time.Time) (BlinkEvent, bool, error
 		ev.Bin = d.bin
 		d.eventCount++
 		d.mBlinks.Inc()
-		return ev, true, nil
+		return ev, true
 	}
-	return BlinkEvent{}, false, nil
+	return BlinkEvent{}, false
 }
 
 // pushTrace records diagnostics when tracing is enabled.
@@ -415,14 +412,14 @@ func (d *Detector) pushTrace(dist float64) {
 	d.thrTrace = append(d.thrTrace, d.levd.Threshold())
 }
 
-// runSelection scores all bins over the selection ring, fanned out
-// across cfg.Parallelism workers, and records the pass duration.
+// runSelection scores all bins over the selection ring with the
+// detector's reusable selection scratch and records the pass duration.
 func (d *Detector) runSelection() (BinScore, error) {
 	var start time.Time
 	if d.mStageSelect != nil {
 		start = time.Now()
 	}
-	best, _, err := SelectBinScratch(&d.selScratch, d.ring.seriesInto, d.ring.stats, d.bins, d.cfg.GuardBins, d.cfg.CandidateTopK, d.cfg.Parallelism)
+	best, _, err := SelectBinScratch(&d.selScratch, d.ring.seriesInto, d.ring.stats, d.bins, d.cfg.GuardBins, d.cfg.CandidateTopK)
 	if d.mStageSelect != nil {
 		d.mStageSelect.Observe(time.Since(start).Seconds())
 	}
@@ -522,9 +519,10 @@ func (d *Detector) checkMotionRestart(dist float64) {
 
 // restart re-runs bin selection from the current ring, re-seeds the
 // tracker and clears the motion counter. A motion restart is a rare,
-// deliberate stall: it re-runs the parallel bin sweep and accepts the
-// allocation and the WaitGroup join, so the transitive hot-path check
-// treats it as a reviewed cold branch.
+// deliberate stall: it re-runs the full bin sweep, whose selection
+// scratch and series buffers grow on first use to the ring's window
+// and candidate count, so the transitive hot-path check treats it as a
+// reviewed cold branch.
 //
 //blinkradar:coldpath
 func (d *Detector) restart() {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"blinkradar/internal/rf"
@@ -99,6 +100,30 @@ func TestDetectorFeedValidation(t *testing.T) {
 	}
 	if _, _, err := det.Feed(make([]complex128, 39)); err == nil {
 		t.Fatal("wrong frame width must be rejected")
+	}
+	// FeedPlanes is the only length check before background subtraction
+	// indexes the Q plane over the I plane's length, so short planes and
+	// mismatched I/Q planes must both be refused, naming both lengths.
+	for _, tc := range []struct {
+		name   string
+		ni, nq int
+		want   string
+	}{
+		{"short", 39, 39, "39 I and 39 Q bins"},
+		{"short Q", 40, 39, "40 I and 39 Q bins"},
+		{"long Q", 40, 41, "40 I and 41 Q bins"},
+		{"short I", 12, 40, "12 I and 40 Q bins"},
+	} {
+		_, _, err := det.FeedPlanes(make([]float32, tc.ni), make([]float32, tc.nq))
+		if err == nil {
+			t.Fatalf("%s: %d/%d planes must be rejected", tc.name, tc.ni, tc.nq)
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: error %q does not name %q", tc.name, err, tc.want)
+		}
+	}
+	if det.Frame() != 0 {
+		t.Fatalf("rejected frames advanced the detector to frame %d", det.Frame())
 	}
 }
 

@@ -4,179 +4,9 @@ import (
 	"fmt"
 
 	"blinkradar/internal/dsp"
+	"blinkradar/internal/iq"
 	"blinkradar/internal/rf"
 )
-
-// Preprocessor implements the paper's signal-preprocessing module
-// (Section IV-B): noise reduction by a cascading filter and background
-// subtraction by a loopback filter. It operates frame by frame so the
-// same code serves the offline and real-time paths.
-type Preprocessor struct {
-	cfg        Config
-	background *BackgroundSubtractor
-	fir        *dsp.FIRFilter
-	scratch    []complex128
-	firScratch []complex128
-
-	// Float32 SoA mirrors of the denoise cascade for the real-time
-	// planes path (ProcessPlanes). fused32 covers FIR+smoothing in one
-	// pass when the fast-time FIR is enabled; ma32 covers
-	// smoothing-only. Both nil means denoise is a no-op on this
-	// profile.
-	fused32      *dsp.FusedCascade
-	ma32         *dsp.InPlaceMA32
-	planeScratch []float32
-}
-
-// NewPreprocessor builds a preprocessor for profiles with the given
-// number of range bins at the given frame rate.
-func NewPreprocessor(cfg Config, numBins int, frameRate float64) (*Preprocessor, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if numBins <= 0 || frameRate <= 0 {
-		return nil, fmt.Errorf("core: bins and frame rate must be positive, got %d, %g", numBins, frameRate)
-	}
-	bg, err := NewBackgroundSubtractor(numBins, frameRate, cfg.BackgroundTauSec)
-	if err != nil {
-		return nil, err
-	}
-	// The noise-reduction cascade: a Hamming-window low-pass FIR
-	// (paper: order 26) followed by a smoothing filter, both along the
-	// fast-time (range) axis of each frame. The FIR is only applied
-	// when the profile is long enough for the design to make sense.
-	var fir *dsp.FIRFilter
-	var fused32 *dsp.FusedCascade
-	var ma32 *dsp.InPlaceMA32
-	smooth := cfg.FastTimeSmoothBins
-	if smooth < 1 {
-		smooth = 1
-	}
-	if cfg.EnableFastTimeFIR && numBins > 2*cfg.FIROrder {
-		fir, err = dsp.LowPassFIR(cfg.FIROrder, cfg.FIRCutoff, dsp.Hamming)
-		if err != nil {
-			return nil, err
-		}
-		// The SoA mirror fuses the same FIR design with the fast-time
-		// smoother into one pass per plane (window 1 degenerates to the
-		// FIR alone).
-		fused32, err = dsp.NewFusedCascade(cfg.FIROrder, cfg.FIRCutoff, smooth)
-		if err != nil {
-			return nil, err
-		}
-	} else if smooth > 1 {
-		ma32, err = dsp.NewInPlaceMA32(smooth)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return &Preprocessor{
-		cfg:          cfg,
-		background:   bg,
-		fir:          fir,
-		scratch:      make([]complex128, numBins),
-		firScratch:   make([]complex128, numBins),
-		fused32:      fused32,
-		ma32:         ma32,
-		planeScratch: make([]float32, numBins),
-	}, nil
-}
-
-// Process denoises and background-subtracts one frame in place. All
-// intermediate buffers are owned by the preprocessor, so the per-frame
-// hot path performs no allocations.
-//
-//blinkradar:hotpath
-func (p *Preprocessor) Process(frame []complex128) error {
-	if len(frame) != len(p.scratch) {
-		return errFrameBins(len(frame), len(p.scratch))
-	}
-	p.denoise(frame)
-	p.background.Apply(frame)
-	return nil
-}
-
-// denoise runs the allocation-free noise-reduction cascade (fast-time
-// FIR plus smoothing) on one frame in place. The frame length must
-// already have been validated.
-//
-//blinkradar:hotpath
-func (p *Preprocessor) denoise(frame []complex128) {
-	if p.fir != nil {
-		p.fir.ApplyComplexInto(p.firScratch, frame) // lengths match by construction
-		copy(frame, p.firScratch)
-	}
-	smoothFastTime(frame, p.scratch, p.cfg.FastTimeSmoothBins)
-}
-
-// ProcessPlanes is Process on the float32 SoA frame layout: it
-// denoises and background-subtracts one frame of I/Q planes in place.
-// This is the real-time hot path — each plane runs the fused Fig. 7
-// cascade (or the stand-alone smoother) as a plain real-valued pass,
-// and no buffer escapes the preprocessor.
-//
-//blinkradar:hotpath
-func (p *Preprocessor) ProcessPlanes(pi, pq []float32) error {
-	if len(pi) != len(p.scratch) || len(pq) != len(p.scratch) {
-		n := len(pi)
-		if len(pq) != n {
-			n = -1
-		}
-		return errFrameBins(n, len(p.scratch))
-	}
-	p.denoisePlanes(pi, pq)
-	p.background.ApplyPlanes(pi, pq)
-	return nil
-}
-
-// denoisePlanes runs the noise-reduction cascade on both planes in
-// place. The fused kernel cannot run aliased (its FIR stage writes
-// output while later samples still read the input), so each plane
-// detours through the reusable plane scratch.
-//
-//blinkradar:hotpath
-func (p *Preprocessor) denoisePlanes(pi, pq []float32) {
-	switch {
-	case p.fused32 != nil:
-		copy(p.planeScratch, pi)
-		p.fused32.ApplyInto32(pi, p.planeScratch[:len(pi)]) // lengths match by construction
-		copy(p.planeScratch, pq)
-		p.fused32.ApplyInto32(pq, p.planeScratch[:len(pq)])
-	case p.ma32 != nil:
-		p.ma32.Apply(pi)
-		p.ma32.Apply(pq)
-	}
-}
-
-// Reset clears the background estimate (used after a full restart).
-func (p *Preprocessor) Reset() { p.background.Reset() }
-
-// smoothFastTime applies a centred moving average of the given width
-// across range bins, writing through scratch. Width 1 is a no-op.
-//
-//blinkradar:hotpath
-func smoothFastTime(frame, scratch []complex128, width int) {
-	if width <= 1 {
-		return
-	}
-	half := width / 2
-	n := len(frame)
-	copy(scratch, frame)
-	for i := 0; i < n; i++ {
-		lo, hi := i-half, i+half
-		if lo < 0 {
-			lo = 0
-		}
-		if hi >= n {
-			hi = n - 1
-		}
-		var acc complex128
-		for j := lo; j <= hi; j++ {
-			acc += scratch[j]
-		}
-		frame[i] = acc / complex(float64(hi-lo+1), 0)
-	}
-}
 
 // BackgroundSubtractor removes static clutter with a per-bin loopback
 // filter (Section IV-B2): each bin's complex mean over a priming window
@@ -191,9 +21,8 @@ type BackgroundSubtractor struct {
 	primeFrames int
 	seen        int
 	sum         []complex128
-	mean        []complex128
-	// Float32 mirrors of the frozen mean for the SoA planes path,
-	// filled once at freeze so the hot subtraction never widens.
+	// Float32 planes of the frozen mean, filled once at freeze so the
+	// hot subtraction never widens.
 	meanI32 []float32
 	meanQ32 []float32
 }
@@ -214,42 +43,19 @@ func NewBackgroundSubtractor(numBins int, frameRate, tauSec float64) (*Backgroun
 	return &BackgroundSubtractor{
 		primeFrames: prime,
 		sum:         make([]complex128, numBins),
-		mean:        make([]complex128, numBins),
 		meanI32:     make([]float32, numBins),
 		meanQ32:     make([]float32, numBins),
 	}, nil
 }
 
-// Apply subtracts the background estimate from the frame in place.
+// ApplyPlanes subtracts the background estimate from one frame of
+// float32 I/Q planes in place; both planes must hold numBins samples.
 // During the priming window the frame is accumulated into the estimate
-// and the output is zeroed (the detector's cold start covers this
-// period anyway). The estimate divides by the frames actually
-// accumulated, so a Reset mid-prime or a capture that ends before the
-// window fills never leaves a partial sum scaled as if the window had
-// completed.
-//
-//blinkradar:hotpath
-func (b *BackgroundSubtractor) Apply(frame []complex128) {
-	if b.seen < b.primeFrames {
-		b.seen++
-		for i, v := range frame {
-			b.sum[i] += v
-			frame[i] = 0
-		}
-		if b.seen == b.primeFrames {
-			b.freeze()
-		}
-		return
-	}
-	for i, v := range frame {
-		frame[i] = v - b.mean[i]
-	}
-}
-
-// ApplyPlanes is Apply on the float32 SoA layout. Priming accumulates
-// into the shared float64 sums (narrowed samples, full-precision
-// accumulation), so a subtractor primed through either layout serves
-// both.
+// (narrowed samples, float64 sums) and the output is zeroed (the
+// detector's cold start covers this period anyway). The estimate
+// divides by the frames actually accumulated, so a Reset mid-prime or a
+// capture that ends before the window fills never leaves a partial sum
+// scaled as if the window had completed.
 //
 //blinkradar:hotpath
 func (b *BackgroundSubtractor) ApplyPlanes(pi, pq []float32) {
@@ -271,15 +77,14 @@ func (b *BackgroundSubtractor) ApplyPlanes(pi, pq []float32) {
 	}
 }
 
-// freeze finalises the clutter estimate from the priming sum and fills
-// the float32 mirrors used by the planes path.
+// freeze finalises the clutter estimate from the priming sum into the
+// float32 mean planes.
 //
 //blinkradar:convert
 func (b *BackgroundSubtractor) freeze() {
 	inv := complex(1/float64(b.seen), 0)
 	for i, s := range b.sum {
 		m := s * inv
-		b.mean[i] = m
 		b.meanI32[i] = float32(real(m))
 		b.meanQ32[i] = float32(imag(m))
 	}
@@ -289,15 +94,12 @@ func (b *BackgroundSubtractor) freeze() {
 // clutter estimate is frozen.
 func (b *BackgroundSubtractor) Primed() bool { return b.seen >= b.primeFrames }
 
-// Background returns a copy of the current clutter estimate. Before the
-// priming window completes it is the mean of the frames seen so far
-// (zeros when none), not the partial sum a full window would produce.
+// Background returns a copy of the current clutter estimate at full
+// precision: the mean of the frames accumulated so far (zeros when
+// none), which after priming is the frozen estimate the float32 planes
+// were narrowed from.
 func (b *BackgroundSubtractor) Background() []complex128 {
-	out := make([]complex128, len(b.mean))
-	if b.Primed() {
-		copy(out, b.mean)
-		return out
-	}
+	out := make([]complex128, len(b.sum))
 	if b.seen == 0 {
 		return out
 	}
@@ -312,54 +114,32 @@ func (b *BackgroundSubtractor) Background() []complex128 {
 func (b *BackgroundSubtractor) Reset() {
 	for i := range b.sum {
 		b.sum[i] = 0
-		b.mean[i] = 0
 		b.meanI32[i] = 0
 		b.meanQ32[i] = 0
 	}
 	b.seen = 0
 }
 
-// PreprocessMatrix applies the full preprocessing chain to a copy of
-// the matrix and returns it, leaving the input untouched. This is the
-// offline convenience used by experiments and figures. The denoising
-// stage fans out across cfg.Parallelism workers; the result is
-// identical to a serial pass.
+// PreprocessMatrix background-subtracts a copy of the matrix and
+// returns it, leaving the input untouched. This is the offline
+// convenience used by experiments and figures. Each frame runs through
+// the streaming detector's own stage: it is narrowed into float32
+// planes, ApplyPlanes subtracts the clutter estimate, and the result is
+// widened back, so the figures are scored by the code that serves.
 func PreprocessMatrix(cfg Config, m *rf.FrameMatrix) (*rf.FrameMatrix, error) {
-	return PreprocessMatrixParallel(cfg, m, cfg.Parallelism)
-}
-
-// PreprocessMatrixParallel is PreprocessMatrix with an explicit worker
-// count (<= 0 selects GOMAXPROCS). The per-frame noise-reduction
-// cascade is embarrassingly parallel, so frames are denoised in chunks
-// by a bounded worker pool, each worker reusing its own scratch
-// buffers; the stateful background subtraction then runs as a cheap
-// serial pass in frame order. The output is bit-identical to the
-// serial path regardless of the worker count.
-func PreprocessMatrixParallel(cfg Config, m *rf.FrameMatrix, workers int) (*rf.FrameMatrix, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	out := m.Clone()
-	frames := out.Data
-	denoise := func(lo, hi int) error {
-		p, err := NewPreprocessor(cfg, m.NumBins(), m.FrameRate)
-		if err != nil {
-			return err
-		}
-		for _, frame := range frames[lo:hi] {
-			p.denoise(frame)
-		}
-		return nil
-	}
-	if err := parallelChunks(len(frames), workers, denoise); err != nil {
 		return nil, err
 	}
 	bg, err := NewBackgroundSubtractor(m.NumBins(), m.FrameRate, cfg.BackgroundTauSec)
 	if err != nil {
 		return nil, err
 	}
-	for _, frame := range frames {
-		bg.Apply(frame)
+	out := m.Clone()
+	planes := iq.MakePlanes32(m.NumBins())
+	for _, frame := range out.Data {
+		planes.FromComplex(frame)
+		bg.ApplyPlanes(planes.I, planes.Q)
+		planes.ToComplex(frame)
 	}
 	return out, nil
 }

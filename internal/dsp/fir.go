@@ -181,51 +181,6 @@ func (f *FIRFilter) ApplyInto(dst, x []float64) error {
 	return nil
 }
 
-// ApplyComplex filters a complex series by filtering the real and
-// imaginary components independently, preserving I/Q structure.
-func (f *FIRFilter) ApplyComplex(x []complex128) []complex128 {
-	out := make([]complex128, len(x))
-	f.ApplyComplexInto(out, x) // lengths match by construction
-	return out
-}
-
-// ApplyComplexInto filters a complex series into dst without allocating:
-// the real and imaginary components are accumulated independently in a
-// single pass, which is arithmetically identical to splitting the series
-// and running ApplyInto on each part. dst must have the same length as x
-// and must not alias it.
-//
-//blinkradar:hotpath
-func (f *FIRFilter) ApplyComplexInto(dst, x []complex128) error {
-	n := len(x)
-	if len(dst) != n {
-		return errSampleCount(len(dst), n)
-	}
-	if n == 0 {
-		return nil
-	}
-	if &dst[0] == &x[0] {
-		return errAliased("ApplyComplexInto")
-	}
-	delay := f.Order() / 2
-	for i := 0; i < n; i++ {
-		var accRe, accIm float64
-		for j, t := range f.taps {
-			k := i + delay - j
-			switch {
-			case k < 0:
-				k = 0
-			case k >= n:
-				k = n - 1
-			}
-			accRe += t * real(x[k])
-			accIm += t * imag(x[k])
-		}
-		dst[i] = complex(accRe, accIm)
-	}
-	return nil
-}
-
 // FrequencyResponse evaluates the filter's complex frequency response at
 // normalised frequency fn in [0, 0.5].
 func (f *FIRFilter) FrequencyResponse(fn float64) complex128 {

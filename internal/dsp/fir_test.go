@@ -122,39 +122,14 @@ func TestFIRApplyConstant(t *testing.T) {
 	}
 }
 
-func TestFIRApplyComplexMatchesParts(t *testing.T) {
-	fir, err := LowPassFIR(12, 0.3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := make([]complex128, 40)
-	re := make([]float64, len(x))
-	im := make([]float64, len(x))
-	for i := range x {
-		re[i] = math.Sin(float64(i) / 3)
-		im[i] = math.Cos(float64(i) / 5)
-		x[i] = complex(re[i], im[i])
-	}
-	got := fir.ApplyComplex(x)
-	wantRe := fir.Apply(re)
-	wantIm := fir.Apply(im)
-	for i := range got {
-		if !approxEqual(real(got[i]), wantRe[i], 1e-12) || !approxEqual(imag(got[i]), wantIm[i], 1e-12) {
-			t.Fatalf("sample %d mismatch", i)
-		}
-	}
-}
-
 func TestFIRApplyIntoMatchesApply(t *testing.T) {
 	fir, err := LowPassFIR(14, 0.2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := make([]float64, 64)
-	cx := make([]complex128, 64)
 	for i := range x {
 		x[i] = math.Sin(float64(i) / 4)
-		cx[i] = complex(x[i], math.Cos(float64(i)/7))
 	}
 	dst := make([]float64, len(x))
 	if err := fir.ApplyInto(dst, x); err != nil {
@@ -165,22 +140,12 @@ func TestFIRApplyIntoMatchesApply(t *testing.T) {
 			t.Fatalf("sample %d = %g, want %g", i, dst[i], v)
 		}
 	}
-	cdst := make([]complex128, len(cx))
-	if err := fir.ApplyComplexInto(cdst, cx); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range fir.ApplyComplex(cx) {
-		if cdst[i] != v {
-			t.Fatalf("complex sample %d = %v, want %v", i, cdst[i], v)
-		}
-	}
-	// The Into variants are the allocation-free hot path.
+	// The Into variant is the allocation-free hot path.
 	allocs := testing.AllocsPerRun(100, func() {
 		fir.ApplyInto(dst, x)
-		fir.ApplyComplexInto(cdst, cx)
 	})
 	if allocs != 0 {
-		t.Fatalf("Into variants allocate %.1f objects/run, want 0", allocs)
+		t.Fatalf("ApplyInto allocates %.1f objects/run, want 0", allocs)
 	}
 }
 
@@ -196,18 +161,8 @@ func TestFIRApplyIntoErrors(t *testing.T) {
 	if err := fir.ApplyInto(x, x); err == nil {
 		t.Fatal("aliased destination must be rejected")
 	}
-	cx := make([]complex128, 10)
-	if err := fir.ApplyComplexInto(make([]complex128, 9), cx); err == nil {
-		t.Fatal("complex length mismatch must be rejected")
-	}
-	if err := fir.ApplyComplexInto(cx, cx); err == nil {
-		t.Fatal("complex aliased destination must be rejected")
-	}
 	// Empty inputs are a no-op, not an error.
 	if err := fir.ApplyInto(nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := fir.ApplyComplexInto(nil, nil); err != nil {
 		t.Fatal(err)
 	}
 }

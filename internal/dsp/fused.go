@@ -370,31 +370,6 @@ func (c *FusedCascade) ApplyInto32(dst, x []float32) error {
 	return c.ApplySubInto32(dst, x, 0)
 }
 
-// InPlaceMA32 is the reusable in-place form of MovingAverageInto over a
-// float32 plane: a centred edge-shrinking moving average that smooths
-// the series where it lies, buffering only a window-sized ring of
-// pre-smoothing values. Construct once; Apply is allocation-free. Not
-// safe for concurrent use.
-type InPlaceMA32 struct {
-	ring   []float32
-	window int
-}
-
-// NewInPlaceMA32 builds a smoother for the given window width.
-func NewInPlaceMA32(window int) (*InPlaceMA32, error) {
-	if err := validateLength("smoothing window", window); err != nil {
-		return nil, err
-	}
-	return &InPlaceMA32{ring: make([]float32, 2*(window/2)+2), window: window}, nil
-}
-
-// Apply smooths y in place.
-//
-//blinkradar:hotpath
-func (m *InPlaceMA32) Apply(y []float32) {
-	maSubInPlace32(y, m.ring, m.window, 0)
-}
-
 // maSubInPlace smooths y in place with the centred edge-shrinking
 // moving average of MovingAverageInto and subtracts sub from every
 // output. Raw values about to be overwritten are parked in the ring

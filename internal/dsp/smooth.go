@@ -80,30 +80,6 @@ func MovingAverageInto(dst, x []float64, window int) error {
 	return nil
 }
 
-// MovingAverageComplex smooths the real and imaginary parts of a complex
-// series independently.
-func MovingAverageComplex(x []complex128, window int) ([]complex128, error) {
-	re := make([]float64, len(x))
-	im := make([]float64, len(x))
-	for i, c := range x {
-		re[i] = real(c)
-		im[i] = imag(c)
-	}
-	re, err := MovingAverage(re, window)
-	if err != nil {
-		return nil, err
-	}
-	im, err = MovingAverage(im, window)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]complex128, len(x))
-	for i := range out {
-		out[i] = complex(re[i], im[i])
-	}
-	return out, nil
-}
-
 // ExponentialSmoother is a streaming first-order IIR smoother
 // y[k] = alpha*x[k] + (1-alpha)*y[k-1]. The zero value is invalid; use
 // NewExponentialSmoother.

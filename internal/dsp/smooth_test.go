@@ -130,17 +130,6 @@ func TestMovingAverageIntoErrors(t *testing.T) {
 	}
 }
 
-func TestMovingAverageComplex(t *testing.T) {
-	x := []complex128{complex(0, 6), complex(3, 0), complex(6, 6)}
-	got, err := MovingAverageComplex(x, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !complexApproxEqual(got[1], complex(3, 4), 1e-9) {
-		t.Fatalf("middle sample %v, want (3+4i)", got[1])
-	}
-}
-
 func TestExponentialSmoother(t *testing.T) {
 	if _, err := NewExponentialSmoother(0); err == nil {
 		t.Fatal("alpha 0 must be rejected")
