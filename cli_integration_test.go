@@ -78,28 +78,6 @@ func TestRadarsimCaptureRoundTrip(t *testing.T) {
 		t.Fatalf("capture has %d frames, want %d", m.NumFrames(), 45*25)
 	}
 
-	// The legacy writer remains reachable, and its output still loads
-	// through the legacy reader.
-	v0Path := filepath.Join(dir, "capture_v0.brc")
-	cmd = exec.Command(radarsim,
-		"-out", v0Path,
-		"-truth", filepath.Join(dir, "capture_v0.json"),
-		"-format", "v0",
-		"-duration", "5",
-		"-seed", "99",
-	)
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("radarsim -format v0: %v\n%s", err, out)
-	}
-	v0f, err := os.Open(v0Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v0f.Close()
-	if _, err := transport.ReadCapture(v0f); err != nil {
-		t.Fatalf("v0 capture through the legacy reader: %v", err)
-	}
-
 	// The truth sidecar must parse and line up with detection results.
 	raw, err := os.ReadFile(truthPath)
 	if err != nil {

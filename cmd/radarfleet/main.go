@@ -50,6 +50,7 @@ import (
 	"blinkradar"
 	"blinkradar/internal/chaos"
 	"blinkradar/internal/ingest"
+	"blinkradar/internal/iq"
 	"blinkradar/internal/session"
 	"blinkradar/internal/transport"
 )
@@ -450,9 +451,10 @@ func loadCapture(path string, logger *log.Logger) (corpusEntry, error) {
 		if err != nil {
 			return corpusEntry{}, fmt.Errorf("capture %s frame %d: %w", path, i, err)
 		}
-		// Next reuses its decode scratch; replaying needs owned bins.
-		fr.Bins = append([]complex128(nil), fr.Bins...)
-		e.frames = append(e.frames, fr)
+		// Next reuses its decode planes; replaying re-encodes owned
+		// bins, and float32 widens to complex128 exactly.
+		bins := iq.Planes32{I: fr.I, Q: fr.Q}.ToComplex(make([]complex128, len(fr.I)))
+		e.frames = append(e.frames, transport.Frame{Seq: fr.Seq, TimestampMicros: fr.TimestampMicros, Bins: bins})
 	}
 	e.seconds = float64(len(e.frames)) / e.hello.FrameRate
 	return e, nil

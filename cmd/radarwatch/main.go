@@ -102,19 +102,19 @@ func main() {
 		},
 	})
 
-	err := client.Run(ctx, func(f transport.Frame) error {
-		if got := monitor.Detector().NumBins(); got != len(f.Bins) {
+	err := client.Run(ctx, func(f transport.PlaneFrame) error {
+		if got := monitor.Detector().NumBins(); got != len(f.I) {
 			// Mid-stream geometry change without a reconnect (the
 			// radio was reconfigured under the daemon): rebuild, as a
 			// hello change would.
-			fmt.Printf("frame width changed (%d -> %d bins); resetting pipeline\n", got, len(f.Bins))
+			fmt.Printf("frame width changed (%d -> %d bins); resetting pipeline\n", got, len(f.I))
 			h, _ := client.Hello()
-			h.NumBins = uint32(len(f.Bins))
+			h.NumBins = uint32(len(f.I))
 			if err := buildMonitor(h); err != nil {
 				return err
 			}
 		}
-		ev, ok, assessment, err := monitor.Feed(f.Bins)
+		ev, ok, assessment, err := monitor.FeedPlanes(f.I, f.Q)
 		if err != nil {
 			return err
 		}

@@ -17,6 +17,10 @@ import (
 	"blinkradar/internal/transport"
 )
 
+// errReplayDone refuses a reconnect: the daemon replays the capture
+// once, so a second connection has nothing left to stream.
+var errReplayDone = errors.New("replay finished")
+
 func main() {
 	// Simulate a two-minute drive to serve.
 	spec := blinkradar.DefaultSpec()
@@ -51,24 +55,26 @@ func main() {
 	go func() { serverDone <- server.Serve(ctx, ln) }()
 
 	// The monitor side: dial, read the stream geometry, run the
-	// real-time detector on every received frame.
-	dialCtx, dialCancel := context.WithTimeout(ctx, 5*time.Second)
-	defer dialCancel()
-	client, err := transport.Dial(dialCtx, ln.Addr().String())
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer client.Close()
-	hello := client.Hello()
-	fmt.Printf("client connected: %d bins at %.1f fps\n", hello.NumBins, hello.FrameRate)
-
-	detector, err := blinkradar.NewDetector(blinkradar.DefaultConfig(), int(hello.NumBins), hello.FrameRate)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// real-time detector on every received frame. The replay is one
+	// stream, so the client makes a single dial attempt and refuses to
+	// reconnect once the daemon has finished.
+	var detector *blinkradar.Detector
+	client := transport.NewReconnectingClient(ln.Addr().String(), transport.ReconnectConfig{
+		DialTimeout:            5 * time.Second,
+		MaxConsecutiveFailures: 1,
+		OnConnect: func(hello transport.StreamHello, reconnected bool) error {
+			if reconnected {
+				return errReplayDone
+			}
+			fmt.Printf("client connected: %d bins at %.1f fps\n", hello.NumBins, hello.FrameRate)
+			d, err := blinkradar.NewDetector(blinkradar.DefaultConfig(), int(hello.NumBins), hello.FrameRate)
+			detector = d
+			return err
+		},
+	})
 	var events []blinkradar.BlinkEvent
-	err = client.Run(ctx, func(f transport.Frame) error {
-		ev, ok, err := detector.Feed(f.Bins)
+	err = client.Run(ctx, func(f transport.PlaneFrame) error {
+		ev, ok, err := detector.FeedPlanes(f.I, f.Q)
 		if err != nil {
 			return err
 		}
@@ -78,9 +84,13 @@ func main() {
 		}
 		return nil
 	})
-	if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, context.Canceled) {
+	if detector == nil {
+		log.Fatalf("monitor never connected: %v", err)
+	}
+	if err != nil && !errors.Is(err, errReplayDone) && !errors.Is(err, io.EOF) && !errors.Is(err, context.Canceled) {
 		// The replay source ends the stream when the capture is
-		// exhausted; anything else is a real failure.
+		// exhausted, and the redial then fails or is refused; anything
+		// else is a real failure.
 		var netErr net.Error
 		if !errors.As(err, &netErr) {
 			log.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"blinkradar"
+	"blinkradar/internal/iq"
 	"blinkradar/internal/session"
 )
 
@@ -88,8 +89,9 @@ func TestChaosFleetFlapRecovery(t *testing.T) {
 	}
 
 	for k := 0; k < fleetFrames; k++ {
+		p := iq.ComplexToPlanes(capture.Data[k])
 		for _, id := range ids {
-			if err := m.Submit(id, capture.Data[k]); err != nil {
+			if err := m.SubmitPlanes(id, p.I, p.Q); err != nil {
 				t.Fatalf("submit frame %d to %s: %v", k, id, err)
 			}
 		}

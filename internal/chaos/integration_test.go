@@ -99,7 +99,7 @@ func (r loopResult) missingInRange() uint64 {
 // leak shows up in leakCheck, not as a hung test.
 func runLoop(t *testing.T, m *rf.FrameMatrix, speed float64,
 	tune func(*transport.Server), wrap func(net.Listener) net.Listener,
-	ccfg transport.ReconnectConfig, onFrame func(transport.Frame) error) loopResult {
+	ccfg transport.ReconnectConfig, onFrame func(transport.PlaneFrame) error) loopResult {
 	t.Helper()
 	src := transport.NewMatrixSource(m, true, false)
 	if err := src.SetSpeed(speed); err != nil {
@@ -140,7 +140,7 @@ func runLoop(t *testing.T, m *rf.FrameMatrix, speed float64,
 		ccfg.Rand = rand.New(rand.NewSource(0x5EED))
 	}
 	rc := transport.NewReconnectingClient(addr, ccfg)
-	res.runErr = rc.Run(context.Background(), func(f transport.Frame) error {
+	res.runErr = rc.Run(context.Background(), func(f transport.PlaneFrame) error {
 		if len(res.delivered) == 0 || f.Seq < res.minSeq {
 			res.minSeq = f.Seq
 		}
@@ -185,7 +185,7 @@ func TestChaosDropBurstExactAccounting(t *testing.T) {
 	res := runLoop(t, m, 20,
 		func(s *transport.Server) { s.SetFrameHook(inj.Apply) }, nil,
 		transport.ReconnectConfig{OnSeqGap: det.NoteGap},
-		func(f transport.Frame) error { _, _, err := det.Feed(f.Bins); return err },
+		func(f transport.PlaneFrame) error { _, _, err := det.FeedPlanes(f.I, f.Q); return err },
 	)
 	if res.stats.Frames == 0 {
 		t.Fatalf("no frames delivered: run %v serve %v", res.runErr, res.serveErr)
@@ -234,11 +234,11 @@ func TestChaosLongGapReacquires(t *testing.T) {
 			})
 		}, nil,
 		transport.ReconnectConfig{OnSeqGap: det.NoteGap},
-		func(f transport.Frame) error {
+		func(f transport.PlaneFrame) error {
 			if f.Seq < gapStart && det.Health() == core.HealthTracking {
 				sawTrackingBeforeGap = true
 			}
-			_, _, err := det.Feed(f.Bins)
+			_, _, err := det.FeedPlanes(f.I, f.Q)
 			if f.Seq >= gapEnd {
 				if framesAfterReset >= 0 {
 					framesAfterReset++
@@ -285,7 +285,7 @@ func TestChaosCorruptStreamResync(t *testing.T) {
 			})
 		},
 		transport.ReconnectConfig{Resync: true, OnSeqGap: det.NoteGap},
-		func(f transport.Frame) error { _, _, err := det.Feed(f.Bins); return err },
+		func(f transport.PlaneFrame) error { _, _, err := det.FeedPlanes(f.I, f.Q); return err },
 	)
 	if res.stats.Resyncs == 0 {
 		t.Fatalf("corrupted stream produced no resyncs (frames %d, run %v)", res.stats.Frames, res.runErr)
@@ -313,7 +313,7 @@ func TestChaosConnectionReset(t *testing.T) {
 			return WrapListener(ln, ConnFaults{Seed: 5, ResetAfterBytes: 120_000, ResetConns: 1})
 		},
 		transport.ReconnectConfig{OnSeqGap: det.NoteGap},
-		func(f transport.Frame) error { _, _, err := det.Feed(f.Bins); return err },
+		func(f transport.PlaneFrame) error { _, _, err := det.FeedPlanes(f.I, f.Q); return err },
 	)
 	if res.stats.Reconnects < 1 {
 		t.Fatalf("injected reset produced no reconnect: run %v serve %v", res.runErr, res.serveErr)
@@ -350,8 +350,8 @@ func TestChaosPoisonedBinsDegrade(t *testing.T) {
 	res := runLoop(t, m, 20,
 		func(s *transport.Server) { s.SetFrameHook(inj.Apply) }, nil,
 		transport.ReconnectConfig{OnSeqGap: det.NoteGap},
-		func(f transport.Frame) error {
-			_, _, err := det.Feed(f.Bins)
+		func(f transport.PlaneFrame) error {
+			_, _, err := det.FeedPlanes(f.I, f.Q)
 			if det.Health() == core.HealthDegraded {
 				sawDegraded = true
 			}
@@ -393,12 +393,12 @@ func TestChaosBinCountChange(t *testing.T) {
 	res := runLoop(t, m, 20,
 		func(s *transport.Server) { s.SetFrameHook(inj.Apply) }, nil,
 		transport.ReconnectConfig{OnSeqGap: det.NoteGap},
-		func(f transport.Frame) error {
-			if len(f.Bins) != det.NumBins() {
-				det = newDetector(t, len(f.Bins))
+		func(f transport.PlaneFrame) error {
+			if len(f.I) != det.NumBins() {
+				det = newDetector(t, len(f.I))
 				rebuilds++
 			}
-			_, _, err := det.Feed(f.Bins)
+			_, _, err := det.FeedPlanes(f.I, f.Q)
 			return err
 		},
 	)
@@ -432,7 +432,7 @@ func TestChaosDuplicatesAndReorder(t *testing.T) {
 	res := runLoop(t, m, 20,
 		func(s *transport.Server) { s.SetFrameHook(inj.Apply) }, nil,
 		transport.ReconnectConfig{OnSeqGap: det.NoteGap},
-		func(f transport.Frame) error { _, _, err := det.Feed(f.Bins); return err },
+		func(f transport.PlaneFrame) error { _, _, err := det.FeedPlanes(f.I, f.Q); return err },
 	)
 	st := inj.Stats()
 	if st.Duplicated == 0 || st.Reordered == 0 {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"blinkradar"
+	"blinkradar/internal/iq"
 )
 
 // BenchmarkFleet measures the multi-session service layer end to end:
@@ -46,16 +47,17 @@ func benchFleet(b *testing.B, sessions, streaming int) {
 	}
 	defer m.Close()
 
-	// A small bank of deterministic frames: enough variation that the
-	// pipeline does real work, no allocation during the timed loop.
-	bank := make([][]complex128, 64)
+	// A small bank of deterministic frames, narrowed to planes up
+	// front: enough variation that the pipeline does real work, no
+	// allocation during the timed loop.
+	bank := make([]iq.Planes32, 64)
 	for i := range bank {
 		f := make([]complex128, bins)
 		for j := range f {
 			ph := float64(i)*0.31 + float64(j)*0.7
 			f[j] = complex(math.Cos(ph), math.Sin(ph)) * 1e-3
 		}
-		bank[i] = f
+		bank[i] = iq.ComplexToPlanes(f)
 	}
 	ids := make([]string, sessions)
 	for i := range ids {
@@ -70,7 +72,8 @@ func benchFleet(b *testing.B, sessions, streaming int) {
 	// measures steady state, not amortised warm-up growth.
 	for f := 0; f < prime; f++ {
 		for _, id := range ids {
-			if err := m.Submit(id, bank[f%len(bank)]); err != nil {
+			p := bank[f%len(bank)]
+			if err := m.SubmitPlanes(id, p.I, p.Q); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -81,7 +84,8 @@ func benchFleet(b *testing.B, sessions, streaming int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := m.Submit(ids[i%streaming], bank[i%len(bank)]); err != nil {
+		p := bank[i%len(bank)]
+		if err := m.SubmitPlanes(ids[i%streaming], p.I, p.Q); err != nil {
 			b.Fatal(err)
 		}
 		pace(m, inFlight)

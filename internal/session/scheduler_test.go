@@ -60,7 +60,7 @@ func TestSchedulerNoLostWakeup(t *testing.T) {
 				s := sessions[i]
 				for f := 0; f < frames; f++ {
 					want := s.processed.Load() + 1
-					if err := m.Submit(ids[i], frame); err != nil {
+					if err := submit(m, ids[i], frame); err != nil {
 						errs <- err
 						return
 					}
@@ -115,14 +115,14 @@ func TestSchedulerFairness(t *testing.T) {
 	// The worker picks busy up and parks on its feed lock; the rest of
 	// its frames queue behind the first.
 	for i := 0; i < cfg.QueueFrames; i++ {
-		if err := m.Submit("busy", frame); err != nil {
+		if err := submit(m, "busy", frame); err != nil {
 			t.Fatal(err)
 		}
 	}
 	waitFor(t, "worker to take busy off the ready list", func() bool {
 		return readyCount(m.shards[0], busy) == 0
 	})
-	if err := m.Submit("quiet", frame); err != nil {
+	if err := submit(m, "quiet", frame); err != nil {
 		t.Fatal(err)
 	}
 	busy.feedMu.Unlock()
@@ -160,14 +160,14 @@ func TestRecycledSessionOnReadyList(t *testing.T) {
 
 	// Park the worker on blocker so "first" stays on the ready list.
 	blocker.feedMu.Lock()
-	if err := m.Submit("blocker", frame); err != nil {
+	if err := submit(m, "blocker", frame); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "worker to take blocker", func() bool {
 		return readyCount(sh, blocker) == 0 && blocker.scheduled.Load()
 	})
 	for i := 0; i < 3; i++ {
-		if err := m.Submit("first", frame); err != nil {
+		if err := submit(m, "first", frame); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -189,7 +189,7 @@ func TestRecycledSessionOnReadyList(t *testing.T) {
 	}
 	const n = 5
 	for i := 0; i < n; i++ {
-		if err := m.Submit("second", frame); err != nil {
+		if err := submit(m, "second", frame); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -242,7 +242,7 @@ func TestDetachDropAccountingExact(t *testing.T) {
 					return
 				default:
 				}
-				err := m.Submit(ids[(w+i)%len(ids)], frame)
+				err := submit(m, ids[(w+i)%len(ids)], frame)
 				if err != nil && !errors.Is(err, ErrSessionNotFound) {
 					panic(err)
 				}

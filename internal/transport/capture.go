@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 
+	"blinkradar/internal/iq"
 	"blinkradar/internal/rf"
 )
 
@@ -41,9 +42,7 @@ import (
 // short — crash, power loss, torn copy — simply lacks the footer (or
 // carries a damaged one); CaptureReader then rebuilds the index by
 // scanning the CRC-framed frames and surfaces the damage as
-// ErrTruncatedCapture while still serving every intact frame. Legacy
-// v0 captures (stream hello + frames, no index) load through the same
-// reader.
+// ErrTruncatedCapture while still serving every intact frame.
 
 // ErrTruncatedCapture marks a capture whose tail is missing or
 // damaged — a torn write, a crash before Close, a partial copy. It is
@@ -73,14 +72,22 @@ const (
 // CaptureHeader describes a capture file: its format version, the
 // stream geometry, and the recording start time.
 type CaptureHeader struct {
-	// Version is the capture format version: 1 for indexed .brc v1
-	// files, 0 for legacy hello+frames captures.
+	// Version is the capture format version (CaptureVersion).
 	Version int
 	// Hello is the stream geometry (frame rate, bin spacing, bins).
 	Hello StreamHello
 	// StartTimeMicros is the recording start in unix microseconds;
-	// zero means unknown (synthetic captures). v0 files carry none.
+	// zero means unknown (synthetic captures).
 	StartTimeMicros uint64
+}
+
+// TimestampMicros converts a time in seconds to microseconds, rounding
+// half-up. Truncation here is not harmless: at a non-integer frame
+// rate, flooring drifts frame timestamps by up to 1µs against the
+// FrameTime grid, so a write→read round-trip no longer reproduces the
+// recorded clock.
+func TimestampMicros(sec float64) uint64 {
+	return uint64(math.Round(sec * 1e6))
 }
 
 // syncer is the subset of *os.File Checkpoint needs to make buffered
@@ -230,15 +237,15 @@ func (cw *CaptureWriter) Close() error {
 	return nil
 }
 
-// CaptureReader reads .brc captures — v1 (indexed) and legacy v0
-// (hello + frames) — with torn-write recovery: a file whose footer is
-// missing or damaged, or whose frame stream is cut mid-frame, still
-// yields every intact frame; Truncated reports the damage as an error
-// wrapping ErrTruncatedCapture. Frames are CRC-validated on every
-// read, whether reached sequentially or via the index.
+// CaptureReader reads .brc v1 captures with torn-write recovery: a
+// file whose footer is missing or damaged, or whose frame stream is cut
+// mid-frame, still yields every intact frame; Truncated reports the
+// damage as an error wrapping ErrTruncatedCapture. Frames are
+// CRC-validated on every read, whether reached sequentially or via the
+// index.
 //
-// The reader is single-goroutine; Next returns a frame whose Bins
-// slice is reused by the following Next or Seek.
+// The reader is single-goroutine; Next returns a frame whose planes
+// are reused by the following Next or Seek.
 type CaptureReader struct {
 	r      io.ReadSeeker
 	br     *bufio.Reader
@@ -253,7 +260,8 @@ type CaptureReader struct {
 
 	scratchHeader []byte
 	scratchBody   []byte
-	bins          []complex128
+	planeI        []float32
+	planeQ        []float32
 }
 
 // NewCaptureReader opens a capture. The constructor validates the
@@ -272,13 +280,11 @@ func NewCaptureReader(r io.ReadSeeker) (*CaptureReader, error) {
 	if err := cr.readHeader(); err != nil {
 		return nil, err
 	}
-	cr.bins = make([]complex128, cr.header.Hello.NumBins)
-	if cr.header.Version >= 1 {
-		if cr.loadFooter() {
-			return cr, nil
-		}
+	n := cr.header.Hello.NumBins
+	cr.planeI, cr.planeQ = make([]float32, n), make([]float32, n)
+	if !cr.loadFooter() {
+		cr.scanIndex()
 	}
-	cr.scanIndex()
 	return cr, nil
 }
 
@@ -298,33 +304,12 @@ func (cr *CaptureReader) Indexed() bool { return cr.indexed }
 // intact frames remain fully readable either way.
 func (cr *CaptureReader) Truncated() error { return cr.trunc }
 
-// frameBodyOffset is where frame data begins for this capture version.
-func (cr *CaptureReader) frameBodyOffset() int64 {
-	if cr.header.Version >= 1 {
-		return captureHeaderSize
-	}
-	return helloSize
-}
-
-// readHeader sniffs the version and decodes the file header.
+// readHeader decodes and validates the file header.
 func (cr *CaptureReader) readHeader() error {
 	if _, err := cr.r.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("transport: seek capture start: %w", err)
 	}
 	cr.br.Reset(cr.r)
-	magic, err := cr.br.Peek(2)
-	if err != nil {
-		return fmt.Errorf("transport: capture too short for any header: %w", ErrTruncatedCapture)
-	}
-	if binary.BigEndian.Uint16(magic) == Magic {
-		// Legacy v0: the file opens with the stream hello.
-		hello, err := DecodeHello(cr.br)
-		if err != nil {
-			return fmt.Errorf("transport: v0 capture hello: %w", err)
-		}
-		cr.header = CaptureHeader{Version: 0, Hello: hello}
-		return nil
-	}
 	var hdr [captureHeaderSize]byte
 	if _, err := io.ReadFull(cr.br, hdr[:]); err != nil {
 		return fmt.Errorf("transport: capture header cut short: %w", ErrTruncatedCapture)
@@ -365,7 +350,7 @@ func (cr *CaptureReader) loadFooter() bool {
 	if err != nil {
 		return false
 	}
-	body := cr.frameBodyOffset()
+	const body = captureHeaderSize
 	if size < body+captureFooterFixed+captureTailSize {
 		return false
 	}
@@ -433,29 +418,23 @@ func (cr *CaptureReader) loadFooter() bool {
 func (cr *CaptureReader) scanIndex() {
 	cr.offsets = cr.offsets[:0]
 	cr.indexed = false
-	body := cr.frameBodyOffset()
-	if _, err := cr.r.Seek(body, io.SeekStart); err != nil {
+	if _, err := cr.r.Seek(captureHeaderSize, io.SeekStart); err != nil {
 		cr.trunc = fmt.Errorf("transport: seek frame body: %w", err)
 		return
 	}
 	cr.br.Reset(cr.r)
-	off := body
+	off := int64(captureHeaderSize)
 	for {
-		// A complete v1 file ends with the footer; hitting its magic at
-		// a frame boundary is the clean end of the scan.
-		if cr.header.Version >= 1 {
-			if peek, err := cr.br.Peek(4); err == nil && [4]byte(peek[0:4]) == captureFooter {
-				break
-			}
+		// A complete file ends with the footer; hitting its magic at a
+		// frame boundary is the clean end of the scan.
+		if peek, err := cr.br.Peek(4); err == nil && [4]byte(peek[0:4]) == captureFooter {
+			break
 		}
-		f, n, err := readFrame(cr.br, cr.scratchHeader, &cr.scratchBody, cr.bins, cr.header.Hello.NumBins)
+		_, n, err := readFramePlanes(cr.br, cr.scratchHeader, &cr.scratchBody, cr.planeI, cr.planeQ, cr.header.Hello.NumBins)
 		if errors.Is(err, io.EOF) {
-			if cr.header.Version >= 1 {
-				// Frames ended without a footer: the Close never landed.
-				cr.trunc = fmt.Errorf("transport: capture footer missing after %d frames: %w",
-					len(cr.offsets), ErrTruncatedCapture)
-			}
-			// A v0 capture has no footer; clean EOF is a clean end.
+			// Frames ended without a footer: the Close never landed.
+			cr.trunc = fmt.Errorf("transport: capture footer missing after %d frames: %w",
+				len(cr.offsets), ErrTruncatedCapture)
 			cr.pos, cr.aligned = 0, false
 			return
 		}
@@ -467,7 +446,6 @@ func (cr *CaptureReader) scanIndex() {
 		}
 		cr.offsets = append(cr.offsets, off)
 		off += int64(n)
-		_ = f
 	}
 	// Footer reached by scanning — it exists but failed validation in
 	// loadFooter (or this reader skipped the fast path): the frames are
@@ -489,26 +467,26 @@ func (cr *CaptureReader) Seek(k int) error {
 }
 
 // Next returns the next frame in sequence, or io.EOF past the last
-// intact frame. The returned Bins slice is owned by the reader and
+// intact frame. The returned planes are owned by the reader and
 // overwritten by the following Next; callers that keep frames copy
 // them. Every frame is CRC-validated as it is read.
 //
 //blinkradar:hotpath
-func (cr *CaptureReader) Next() (Frame, error) {
+func (cr *CaptureReader) Next() (PlaneFrame, error) {
 	if cr.pos >= len(cr.offsets) {
-		return Frame{}, io.EOF
+		return PlaneFrame{}, io.EOF
 	}
 	if !cr.aligned {
 		if err := cr.align(); err != nil {
-			return Frame{}, err
+			return PlaneFrame{}, err
 		}
 	}
-	f, _, err := readFrame(cr.br, cr.scratchHeader, &cr.scratchBody, cr.bins, cr.header.Hello.NumBins)
+	f, _, err := readFramePlanes(cr.br, cr.scratchHeader, &cr.scratchBody, cr.planeI, cr.planeQ, cr.header.Hello.NumBins)
 	if err != nil {
 		// Only reachable when a (CRC-valid) footer pointed at bytes that
 		// do not decode — treat it like any other tail damage.
 		cr.aligned = false
-		return Frame{}, errIndexedFrame(cr.pos, err)
+		return PlaneFrame{}, errIndexedFrame(cr.pos, err)
 	}
 	cr.pos++
 	return f, nil
@@ -543,6 +521,7 @@ func (cr *CaptureReader) ReadMatrix() (*rf.FrameMatrix, error) {
 
 // ReadMatrixFrom is ReadMatrix starting at frame index start (seek via
 // the index, then sequential decode to the end of the intact frames).
+// The float32 planes widen exactly into the matrix's complex128 samples.
 func (cr *CaptureReader) ReadMatrixFrom(start int) (*rf.FrameMatrix, error) {
 	if start < 0 || start >= len(cr.offsets) {
 		return nil, fmt.Errorf("transport: start frame %d outside the %d intact frames", start, len(cr.offsets))
@@ -560,7 +539,7 @@ func (cr *CaptureReader) ReadMatrixFrom(start int) (*rf.FrameMatrix, error) {
 		if err != nil {
 			return nil, err
 		}
-		copy(m.Data[k], f.Bins)
+		iq.Planes32{I: f.I, Q: f.Q}.ToComplex(m.Data[k])
 	}
 	return m, nil
 }

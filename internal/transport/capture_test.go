@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"strings"
 	"testing"
 
 	"blinkradar/internal/rf"
@@ -62,9 +63,9 @@ func checkFrames(t *testing.T, cr *CaptureReader, want int) {
 		if f.Seq != ref.Seq || f.TimestampMicros != ref.TimestampMicros {
 			t.Fatalf("frame %d header mismatch: %+v", k, f)
 		}
-		for i := range ref.Bins {
-			if f.Bins[i] != ref.Bins[i] {
-				t.Fatalf("frame %d bin %d = %v, want %v", k, i, f.Bins[i], ref.Bins[i])
+		for i, z := range ref.Bins {
+			if f.I[i] != float32(real(z)) || f.Q[i] != float32(imag(z)) {
+				t.Fatalf("frame %d bin %d = %v%+vi, want %v", k, i, f.I[i], f.Q[i], z)
 			}
 		}
 	}
@@ -139,40 +140,37 @@ func TestCaptureSeek(t *testing.T) {
 	}
 }
 
-// TestCaptureReaderV0 loads a legacy hello+frames capture through the
-// new reader.
-func TestCaptureReaderV0(t *testing.T) {
+// v0Capture lays out a capture in the retired v0 format: a stream
+// hello followed by n encoded frames, with no file header or index.
+func v0Capture(tb testing.TB, n int) []byte {
+	tb.Helper()
 	var buf bytes.Buffer
 	if err := EncodeHello(&buf, testHello); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	enc := NewEncoder(&buf)
-	const n = 9
 	for k := 0; k < n; k++ {
 		if err := enc.Encode(testFrame(k, int(testHello.NumBins))); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	if err := enc.Flush(); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	cr, err := NewCaptureReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
+	return buf.Bytes()
+}
+
+// TestCaptureReaderRefusesV0 checks that a file in the retired v0
+// layout is refused as not being a capture, with an error rather than
+// a panic or a misread.
+func TestCaptureReaderRefusesV0(t *testing.T) {
+	cr, err := NewCaptureReader(bytes.NewReader(v0Capture(t, 9)))
+	if err == nil {
+		t.Fatalf("v0 capture opened with %d frames", cr.NumFrames())
 	}
-	if cr.Header().Version != 0 {
-		t.Fatalf("Version = %d, want 0", cr.Header().Version)
+	if !strings.Contains(err.Error(), "not a capture file") {
+		t.Fatalf("v0 capture error %q, want \"not a capture file\"", err)
 	}
-	if cr.Header().Hello != testHello {
-		t.Fatalf("Hello = %+v", cr.Header().Hello)
-	}
-	if err := cr.Truncated(); err != nil {
-		t.Fatalf("clean v0 capture reports truncation: %v", err)
-	}
-	if cr.Indexed() {
-		t.Fatal("v0 capture has no footer to be Indexed by")
-	}
-	checkFrames(t, cr, n)
 }
 
 // TestCaptureTruncationEveryByte is the boundary-cut matrix from the
@@ -330,8 +328,8 @@ func TestCaptureWriterContracts(t *testing.T) {
 	}
 }
 
-// TestCaptureReadMatrix checks the matrix convenience against the v0
-// writer's output and a v1 capture of the same frames.
+// TestCaptureReadMatrix checks that the matrix convenience widens a
+// capture's frames back into exactly the matrix that was written.
 func TestCaptureReadMatrix(t *testing.T) {
 	m, err := rf.NewFrameMatrix(20, 8, 25, 0.0107)
 	if err != nil {
@@ -342,11 +340,7 @@ func TestCaptureReadMatrix(t *testing.T) {
 			m.Data[k][i] = complex(float64(k), float64(i))
 		}
 	}
-	var v0 bytes.Buffer
-	if err := WriteCapture(&v0, m); err != nil {
-		t.Fatal(err)
-	}
-	for name, data := range map[string][]byte{"v0": v0.Bytes()} {
+	for name, data := range map[string][]byte{"v1": writeMatrixCapture(t, m)} {
 		cr, err := NewCaptureReader(bytes.NewReader(data))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -371,6 +365,26 @@ func TestCaptureReadMatrix(t *testing.T) {
 	}
 }
 
+// writeMatrixCapture records m as a v1 capture, stamping each frame the
+// way radarsim does: sequence k at TimestampMicros(FrameTime(k)).
+func writeMatrixCapture(tb testing.TB, m *rf.FrameMatrix) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	cw, err := NewCaptureWriter(&buf, StreamHello{FrameRate: m.FrameRate, BinSpacing: m.BinSpacing, NumBins: uint32(m.NumBins())}, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for k, bins := range m.Data {
+		if err := cw.WriteFrame(Frame{Seq: uint64(k), TimestampMicros: TimestampMicros(m.FrameTime(k)), Bins: bins}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := cw.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestWriteCaptureTimestampRounding is the regression test for the
 // floor-vs-round bug: at a non-integer frame period (30 fps → 33333.3µs)
 // flooring drifts odd frames 1µs early against the FrameTime grid.
@@ -385,11 +399,7 @@ func TestWriteCaptureTimestampRounding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := WriteCapture(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	cr, err := NewCaptureReader(bytes.NewReader(buf.Bytes()))
+	cr, err := NewCaptureReader(bytes.NewReader(writeMatrixCapture(t, m)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,30 +412,5 @@ func TestWriteCaptureTimestampRounding(t *testing.T) {
 		if f.TimestampMicros != want {
 			t.Fatalf("frame %d timestamp %dµs, want %dµs (drift %d)", k, f.TimestampMicros, want, int64(f.TimestampMicros)-int64(want))
 		}
-	}
-}
-
-// TestReadCaptureV0AllOrError pins the legacy reader's contract: any
-// damage fails the whole read — no partial recovery on that path.
-func TestReadCaptureV0AllOrError(t *testing.T) {
-	m, err := rf.NewFrameMatrix(10, 4, 25, 0.0107)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteCapture(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	if _, err := ReadCapture(bytes.NewReader(data)); err != nil {
-		t.Fatalf("clean capture: %v", err)
-	}
-	if _, err := ReadCapture(bytes.NewReader(data[:len(data)-7])); err == nil {
-		t.Fatal("torn v0 capture must fail ReadCapture wholesale")
-	}
-	corrupt := append([]byte{}, data...)
-	corrupt[helloSize+headerSize+1] ^= 0xff
-	if _, err := ReadCapture(bytes.NewReader(corrupt)); err == nil {
-		t.Fatal("corrupt v0 capture must fail ReadCapture wholesale")
 	}
 }

@@ -5,160 +5,62 @@ import (
 	"fmt"
 	"net"
 	"time"
-
-	"blinkradar/internal/obs"
 )
 
-// Client consumes a radar frame stream from a radard server and feeds a
-// per-frame callback — typically core.Detector.Feed — on the caller's
-// goroutine.
-type Client struct {
-	conn  net.Conn
-	dec   *Decoder
-	hello StreamHello
-
-	lastSeq uint64
-	haveSeq bool
-
+// conn is one connection of a ReconnectingClient: the socket, the
+// geometry its server announced, and the decoder reading frames off it
+// into planes.
+type conn struct {
+	nc          net.Conn
+	dec         *Decoder
+	hello       StreamHello
 	readTimeout time.Duration
-	seenResyncs uint64
-	seenSkipped uint64
-
-	// Metrics (nil-safe no-ops until SetRegistry attaches a registry).
-	mFrames      *obs.Counter
-	mSeqGaps     *obs.Counter
-	mGapFrames   *obs.Counter
-	mResyncs     *obs.Counter
-	mResyncBytes *obs.Counter
 }
 
-// Dial connects to a radar server and reads the stream hello.
-func Dial(ctx context.Context, addr string) (*Client, error) {
+// dial connects to a radar server and reads the stream hello; ctx
+// bounds both. With readTimeout > 0 every later frame read must finish
+// within it, so a server that stalls without closing fails the stream
+// instead of hanging the client. With resync the decoder skips corrupt
+// frames in-stream (see Decoder.EnableResync) and pins the bin count to
+// the hello's announcement, so a corrupted length field cannot stall
+// the stream on a phantom payload — which also means a resyncing
+// connection treats a mid-stream geometry change as corruption.
+func dial(ctx context.Context, addr string, readTimeout time.Duration, resync bool) (*conn, error) {
 	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", addr)
+	nc, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
 	if deadline, ok := ctx.Deadline(); ok {
-		if err := conn.SetReadDeadline(deadline); err != nil {
-			conn.Close()
+		if err := nc.SetReadDeadline(deadline); err != nil {
+			nc.Close()
 			return nil, fmt.Errorf("transport: set deadline: %w", err)
 		}
 	}
-	hello, err := DecodeHello(conn)
+	hello, err := DecodeHello(nc)
 	if err != nil {
-		conn.Close()
+		nc.Close()
 		return nil, err
 	}
-	if err := conn.SetReadDeadline(time.Time{}); err != nil {
-		conn.Close()
+	if err := nc.SetReadDeadline(time.Time{}); err != nil {
+		nc.Close()
 		return nil, fmt.Errorf("transport: clear deadline: %w", err)
 	}
-	return &Client{conn: conn, dec: NewDecoder(conn), hello: hello}, nil
-}
-
-// SetRegistry attaches an observability registry. Call before reading
-// frames. Exported metrics:
-//
-//	transport_client_frames_received_total  frames decoded from the wire
-//	transport_client_seq_gaps_total         discontinuities in Frame.Seq
-//	transport_client_seq_gap_frames_total   frames lost across all gaps
-//	transport_client_resyncs_total          corrupt frames skipped in-stream
-//	transport_client_resync_bytes_total     garbage bytes discarded realigning
-func (c *Client) SetRegistry(r *obs.Registry) {
-	c.mFrames = r.Counter("transport_client_frames_received_total")
-	c.mSeqGaps = r.Counter("transport_client_seq_gaps_total")
-	c.mGapFrames = r.Counter("transport_client_seq_gap_frames_total")
-	c.mResyncs = r.Counter("transport_client_resyncs_total")
-	c.mResyncBytes = r.Counter("transport_client_resync_bytes_total")
-}
-
-// Hello returns the stream geometry announced by the server.
-func (c *Client) Hello() StreamHello { return c.hello }
-
-// SetReadTimeout bounds each frame read: if the server stalls for
-// longer than d, the pending read fails and the stream ends (a
-// reconnecting consumer then redials instead of hanging on a dead but
-// unclosed connection). Zero disables the deadline.
-func (c *Client) SetReadTimeout(d time.Duration) { c.readTimeout = d }
-
-// EnableResync makes the client skip corrupt frames in-stream instead
-// of failing the connection (see Decoder.EnableResync). Skipped frames
-// surface downstream as sequence gaps. Resync pins the bin count to
-// the hello's announcement, so a corrupted length field cannot stall
-// the stream on a phantom payload — which also means a resyncing
-// client treats a mid-stream geometry change as corruption.
-func (c *Client) EnableResync() {
-	c.dec.EnableResync()
-	c.dec.SetExpectedBins(c.hello.NumBins)
-}
-
-// Resyncs reports the corrupt frames skipped and garbage bytes
-// discarded on this connection.
-func (c *Client) Resyncs() (frames, bytesSkipped uint64) { return c.dec.Resyncs() }
-
-// harvestResyncs moves new decoder resync accounting into the metrics.
-func (c *Client) harvestResyncs() {
-	frames, skipped := c.dec.Resyncs()
-	if d := frames - c.seenResyncs; d > 0 {
-		c.mResyncs.Add(d)
-		c.seenResyncs = frames
+	c := &conn{nc: nc, dec: NewDecoder(nc), hello: hello, readTimeout: readTimeout}
+	if resync {
+		c.dec.EnableResync()
+		c.dec.SetExpectedBins(hello.NumBins)
 	}
-	if d := skipped - c.seenSkipped; d > 0 {
-		c.mResyncBytes.Add(d)
-		c.seenSkipped = skipped
-	}
+	return c, nil
 }
 
-// Next reads the next frame. It honours the context by closing the
-// connection on cancellation, which unblocks the pending read.
-func (c *Client) Next(ctx context.Context) (Frame, error) {
-	if err := ctx.Err(); err != nil {
-		return Frame{}, err
-	}
-	stop := context.AfterFunc(ctx, func() { c.conn.Close() })
-	defer stop()
+// next reads one frame into the decoder-owned planes, valid until the
+// following call.
+func (c *conn) next() (PlaneFrame, error) {
 	if c.readTimeout > 0 {
-		if err := c.conn.SetReadDeadline(time.Now().Add(c.readTimeout)); err != nil {
-			return Frame{}, fmt.Errorf("transport: set read deadline: %w", err)
+		if err := c.nc.SetReadDeadline(time.Now().Add(c.readTimeout)); err != nil {
+			return PlaneFrame{}, fmt.Errorf("transport: set read deadline: %w", err)
 		}
 	}
-	f, err := c.dec.Decode()
-	c.harvestResyncs()
-	if err != nil {
-		if ctx.Err() != nil {
-			return Frame{}, ctx.Err()
-		}
-		return Frame{}, err
-	}
-	c.mFrames.Inc()
-	if c.haveSeq && f.Seq > c.lastSeq+1 {
-		c.mSeqGaps.Inc()
-		c.mGapFrames.Add(f.Seq - c.lastSeq - 1)
-	}
-	c.lastSeq = f.Seq
-	c.haveSeq = true
-	return f, nil
+	return c.dec.DecodePlanes()
 }
-
-// LastSeq returns the sequence number of the most recent frame and
-// whether any frame has been read yet.
-func (c *Client) LastSeq() (uint64, bool) { return c.lastSeq, c.haveSeq }
-
-// Run pulls frames until the context is cancelled or the stream ends,
-// invoking fn for each. A non-nil error from fn stops the loop and is
-// returned.
-func (c *Client) Run(ctx context.Context, fn func(Frame) error) error {
-	for {
-		f, err := c.Next(ctx)
-		if err != nil {
-			return err
-		}
-		if err := fn(f); err != nil {
-			return err
-		}
-	}
-}
-
-// Close tears down the connection.
-func (c *Client) Close() error { return c.conn.Close() }

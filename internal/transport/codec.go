@@ -33,7 +33,8 @@ const (
 	MaxBins = 1 << 16
 )
 
-// Frame is one radar frame on the wire.
+// Frame is one radar frame as the sending side holds it: the input of
+// Encoder, Server and CaptureWriter. Receivers decode into PlaneFrame.
 type Frame struct {
 	// Seq is the monotonically increasing frame sequence number.
 	Seq uint64
@@ -177,10 +178,11 @@ func (e *Encoder) Flush() error {
 	return nil
 }
 
-// Decoder reads frames from an underlying stream. By default any
-// corruption terminates the stream with ErrCorruptFrame; EnableResync
-// switches to in-stream recovery, where a corrupt frame is discarded
-// and decoding realigns on the next plausible frame header.
+// Decoder reads frames from an underlying stream into struct-of-arrays
+// float32 I/Q planes. By default any corruption terminates the stream
+// with ErrCorruptFrame; EnableResync switches to in-stream recovery,
+// where a corrupt frame is discarded and decoding realigns on the next
+// plausible frame header.
 type Decoder struct {
 	r      *bufio.Reader
 	buf    []byte
@@ -191,7 +193,7 @@ type Decoder struct {
 	resyncs     uint64
 	skippedByte uint64
 
-	// DecodePlanes scratch, grown once to the stream geometry.
+	// Plane scratch, grown once to the stream geometry.
 	planeI []float32
 	planeQ []float32
 }
@@ -201,10 +203,10 @@ func NewDecoder(r io.Reader) *Decoder {
 	return &Decoder{r: bufio.NewReader(r), header: make([]byte, headerSize)}
 }
 
-// EnableResync makes Decode recover from corrupt frames by scanning
-// forward to the next frame boundary instead of failing the stream.
-// Intended for live links, where tearing the connection down over one
-// damaged packet costs a reconnect and every frame in between.
+// EnableResync makes DecodePlanes recover from corrupt frames by
+// scanning forward to the next frame boundary instead of failing the
+// stream. Intended for live links, where tearing the connection down
+// over one damaged packet costs a reconnect and every frame in between.
 func (d *Decoder) EnableResync() { d.resync = true }
 
 // SetExpectedBins pins the per-frame bin count (0 lifts the pin). A
@@ -218,23 +220,6 @@ func (d *Decoder) SetExpectedBins(n uint32) { d.expectBins = n }
 // inter-frame garbage bytes were discarded while realigning.
 func (d *Decoder) Resyncs() (frames, bytesSkipped uint64) {
 	return d.resyncs, d.skippedByte
-}
-
-// Decode reads one frame. It returns io.EOF (possibly wrapped) when the
-// stream ends cleanly at a packet boundary. With resync enabled,
-// corrupt frames are skipped transparently (see Resyncs for the
-// accounting); otherwise they surface as errors matching
-// ErrCorruptFrame.
-func (d *Decoder) Decode() (Frame, error) {
-	f, err := d.decodeOnce()
-	for err != nil && d.resync && errors.Is(err, ErrCorruptFrame) {
-		d.resyncs++
-		if serr := d.seekMagic(); serr != nil {
-			return Frame{}, serr
-		}
-		f, err = d.decodeOnce()
-	}
-	return f, err
 }
 
 // seekMagic discards bytes until the reader is positioned at a
@@ -271,17 +256,10 @@ func (d *Decoder) seekMagic() error {
 	}
 }
 
-// decodeOnce reads one frame at the current stream position.
-func (d *Decoder) decodeOnce() (Frame, error) {
-	f, _, err := readFrame(d.r, d.header, &d.buf, nil, d.expectBins)
-	return f, err
-}
-
 // PlaneFrame is one radar frame decoded into struct-of-arrays float32
 // I/Q planes — the exact representation the wire carries and the
-// detection pipeline consumes, so a planes decode is bit-identical to
-// DecodeFrame followed by narrowing, with no complex128 widening round
-// trip in between.
+// detection pipeline consumes, so every sample lands bit-for-bit with
+// no complex128 round trip in between.
 type PlaneFrame struct {
 	// Seq is the monotonically increasing frame sequence number.
 	Seq uint64
@@ -295,8 +273,11 @@ type PlaneFrame struct {
 }
 
 // DecodePlanes reads one frame into decoder-owned I/Q planes, valid
-// until the next DecodePlanes call. Error and resync semantics match
-// Decode exactly.
+// until the next DecodePlanes call. It returns io.EOF (possibly
+// wrapped) when the stream ends cleanly at a packet boundary. With
+// resync enabled, corrupt frames are skipped transparently (see
+// Resyncs for the accounting); otherwise they surface as errors
+// matching ErrCorruptFrame.
 func (d *Decoder) DecodePlanes() (PlaneFrame, error) {
 	f, err := d.decodePlanesOnce()
 	for err != nil && d.resync && errors.Is(err, ErrCorruptFrame) {
@@ -324,50 +305,48 @@ func (d *Decoder) decodePlanesOnce() (PlaneFrame, error) {
 // frameWireSize is the encoded size of a frame with n bins.
 func frameWireSize(n int) int { return headerSize + n*8 + 4 }
 
-// readFrame decodes one CRC-framed frame from r at its current
-// position, using the caller's scratch: header must be headerSize
-// bytes, *payload is grown as needed, and bins — when its capacity
-// suffices — receives the samples without allocating (pass nil to
-// always allocate fresh bins). It reports the number of wire bytes
-// consumed by a successful decode; decode failures return the same
-// error classes as Decoder.Decode (io.EOF at a clean boundary,
-// ErrCorruptFrame wrapping for framing damage, plain errors for I/O
-// truncation mid-frame).
-//
-//blinkradar:hotpath
-func readFrame(r io.Reader, header []byte, payload *[]byte, bins []complex128, expectBins uint32) (Frame, int, error) {
-	body, n, err := readFrameWire(r, header, payload, expectBins)
-	if err != nil {
-		return Frame{}, 0, err
-	}
-	if cap(bins) < n {
-		bins = make([]complex128, n) //blinkvet:ignore hotpathalloc -- grow-once: callers pass a geometry-sized buffer (or nil to opt into allocation)
-	}
-	f := Frame{
-		Seq:             binary.BigEndian.Uint64(header[4:]),
-		TimestampMicros: binary.BigEndian.Uint64(header[12:]),
-		Bins:            bins[:n],
-	}
-	off := 0
-	for i := range f.Bins {
-		re := math.Float32frombits(binary.BigEndian.Uint32(body[off:]))
-		im := math.Float32frombits(binary.BigEndian.Uint32(body[off+4:]))
-		f.Bins[i] = complex(float64(re), float64(im))
-		off += 8
-	}
-	return f, frameWireSize(n), nil
-}
-
-// readFramePlanes is readFrame decoding into struct-of-arrays float32
-// planes, the wire's own sample representation: each bin's I and Q
-// values land bit-for-bit, with no float64 round trip. pi and pq are
-// reused when their capacity suffices (pass nil to allocate).
+// readFramePlanes decodes one CRC-framed frame from r at its current
+// position into struct-of-arrays float32 planes, the wire's own sample
+// representation: each bin's I and Q values land bit-for-bit. It uses
+// the caller's scratch: header must be headerSize bytes, *payload is
+// grown as needed, and pi and pq are reused when their capacity
+// suffices (pass nil to allocate). It reports the number of wire bytes
+// consumed by a successful decode. Failures are io.EOF at a clean
+// boundary, ErrCorruptFrame wrapping for framing damage (bad magic or
+// version, implausible or unpinned bin count, CRC mismatch), and plain
+// errors for I/O truncation mid-frame.
 //
 //blinkradar:hotpath
 func readFramePlanes(r io.Reader, header []byte, payload *[]byte, pi, pq []float32, expectBins uint32) (PlaneFrame, int, error) {
-	body, n, err := readFrameWire(r, header, payload, expectBins)
-	if err != nil {
-		return PlaneFrame{}, 0, err
+	if _, err := io.ReadFull(r, header); err != nil {
+		if err == io.EOF {
+			return PlaneFrame{}, 0, io.EOF
+		}
+		return PlaneFrame{}, 0, errReadHeader(err)
+	}
+	if m := binary.BigEndian.Uint16(header[0:]); m != Magic {
+		return PlaneFrame{}, 0, errBadMagic(m)
+	}
+	if v := header[2]; v != Version {
+		return PlaneFrame{}, 0, errBadVersion(v)
+	}
+	bins := binary.BigEndian.Uint32(header[20:])
+	if bins == 0 || bins > MaxBins || (expectBins != 0 && bins != expectBins) {
+		return PlaneFrame{}, 0, errBadBinCount(bins)
+	}
+	n := int(bins)
+	size := n*8 + 4
+	if cap(*payload) < size {
+		*payload = make([]byte, size) //blinkvet:ignore hotpathalloc -- scratch growth is amortised: the payload buffer is reused across frames
+	}
+	body := (*payload)[:size]
+	if _, err := io.ReadFull(r, body); err != nil {
+		return PlaneFrame{}, 0, errReadPayload(err)
+	}
+	crc := crc32.ChecksumIEEE(header)
+	crc = crc32.Update(crc, crc32.IEEETable, body[:n*8])
+	if got := binary.BigEndian.Uint32(body[n*8:]); got != crc {
+		return PlaneFrame{}, 0, errBadCRC(got, crc)
 	}
 	if cap(pi) < n || cap(pq) < n {
 		pi = make([]float32, n) //blinkvet:ignore hotpathalloc -- grow-once: callers pass geometry-sized planes (or nil to opt into allocation)
@@ -386,44 +365,6 @@ func readFramePlanes(r io.Reader, header []byte, payload *[]byte, pi, pq []float
 		off += 8
 	}
 	return f, frameWireSize(n), nil
-}
-
-// readFrameWire reads and validates one frame's header, payload and
-// CRC, returning the payload body (sample area plus trailing CRC) and
-// the bin count. Shared by the complex and planes decoders.
-//
-//blinkradar:hotpath
-func readFrameWire(r io.Reader, header []byte, payload *[]byte, expectBins uint32) ([]byte, int, error) {
-	if _, err := io.ReadFull(r, header); err != nil {
-		if err == io.EOF {
-			return nil, 0, io.EOF
-		}
-		return nil, 0, errReadHeader(err)
-	}
-	if m := binary.BigEndian.Uint16(header[0:]); m != Magic {
-		return nil, 0, errBadMagic(m)
-	}
-	if v := header[2]; v != Version {
-		return nil, 0, errBadVersion(v)
-	}
-	n := binary.BigEndian.Uint32(header[20:])
-	if n == 0 || n > MaxBins || (expectBins != 0 && n != expectBins) {
-		return nil, 0, errBadBinCount(n)
-	}
-	size := int(n)*8 + 4
-	if cap(*payload) < size {
-		*payload = make([]byte, size) //blinkvet:ignore hotpathalloc -- scratch growth is amortised: the payload buffer is reused across frames
-	}
-	body := (*payload)[:size]
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, 0, errReadPayload(err)
-	}
-	crc := crc32.ChecksumIEEE(header)
-	crc = crc32.Update(crc, crc32.IEEETable, body[:len(body)-4])
-	if got := binary.BigEndian.Uint32(body[len(body)-4:]); got != crc {
-		return nil, 0, errBadCRC(got, crc)
-	}
-	return body, int(n), nil
 }
 
 // Cold error constructors, hoisted off the decode hot path.

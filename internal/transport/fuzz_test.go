@@ -2,11 +2,14 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
 	"math/rand"
 	"testing"
+
+	"blinkradar/internal/iq"
 )
 
 // frameBytes encodes f into a fresh byte slice.
@@ -23,13 +26,13 @@ func frameBytes(tb testing.TB, f Frame) []byte {
 	return buf.Bytes()
 }
 
-// FuzzDecodeFrame drives the frame decoder — in strict and resync mode,
-// pinned and unpinned — with arbitrary byte streams and checks its
+// FuzzDecodeFrame drives the planes decoder — in strict and resync
+// mode, pinned and unpinned — with arbitrary byte streams and checks its
 // structural invariants: no panics, every decoded frame has a plausible
 // bin count consistent with the pin, the decoder never fabricates more
 // payload than the input held (its allocations are bounded by the
-// input), and every accepted frame survives an encode/decode round
-// trip bit-exactly.
+// input), strict-mode planes hold the wire's float32 bits exactly, and
+// every accepted frame survives an encode/decode round trip bit-exactly.
 func FuzzDecodeFrame(f *testing.F) {
 	valid := frameBytes(f, Frame{Seq: 7, TimestampMicros: 12345, Bins: []complex128{1 + 2i, complex(-0.5, 0.25), 0, complex(3e4, -3e4)}})
 	f.Add(valid, uint8(0))
@@ -53,16 +56,32 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		var consumed int
 		for {
-			fr, err := dec.Decode()
+			fr, err := dec.DecodePlanes()
 			if err != nil {
 				break // EOF, truncation, or (strict mode) corruption
 			}
-			n := len(fr.Bins)
+			n := len(fr.I)
+			if len(fr.Q) != n {
+				t.Fatalf("decoded planes of %d and %d bins", n, len(fr.Q))
+			}
 			if n < 1 || n > MaxBins {
 				t.Fatalf("decoded frame with %d bins, want 1..%d", n, MaxBins)
 			}
 			if mode&2 != 0 && n != pinned {
 				t.Fatalf("pinned decoder produced %d bins, want %d", n, pinned)
+			}
+			// Without resync, frames sit back to back from offset 0, so
+			// each plane value must be the wire's float32 bits verbatim.
+			if !resync {
+				payload := data[consumed+headerSize:]
+				for i := 0; i < n; i++ {
+					wi := binary.BigEndian.Uint32(payload[8*i:])
+					wq := binary.BigEndian.Uint32(payload[8*i+4:])
+					if math.Float32bits(fr.I[i]) != wi || math.Float32bits(fr.Q[i]) != wq {
+						t.Fatalf("bin %d decoded as %#x/%#x, wire holds %#x/%#x",
+							i, math.Float32bits(fr.I[i]), math.Float32bits(fr.Q[i]), wi, wq)
+					}
+				}
 			}
 			// A CRC-valid frame can only come from bytes actually present
 			// in the input, so total decoded wire size is bounded by it.
@@ -70,23 +89,24 @@ func FuzzDecodeFrame(f *testing.F) {
 			if consumed > len(data) {
 				t.Fatalf("decoded %d wire bytes from a %d-byte input", consumed, len(data))
 			}
-			// Payloads are float32 on the wire, so a decoded frame
-			// re-encodes bit-exactly.
-			redec := NewDecoder(bytes.NewReader(frameBytes(t, fr)))
-			back, err := redec.Decode()
+			// Re-encode through the encoder's complex128 input. Widening
+			// a float32 to float64 is exact except that it quiets a
+			// signalling NaN, so the value the encoder is handed — and
+			// must reproduce bit-exactly — is the widened-and-narrowed one.
+			bins := iq.Planes32{I: fr.I, Q: fr.Q}.ToComplex(make([]complex128, n))
+			redec := NewDecoder(bytes.NewReader(frameBytes(t, Frame{Seq: fr.Seq, TimestampMicros: fr.TimestampMicros, Bins: bins})))
+			back, err := redec.DecodePlanes()
 			if err != nil {
 				t.Fatalf("re-decoding an accepted frame: %v", err)
 			}
-			if back.Seq != fr.Seq || back.TimestampMicros != fr.TimestampMicros || len(back.Bins) != n {
+			if back.Seq != fr.Seq || back.TimestampMicros != fr.TimestampMicros || len(back.I) != n {
 				t.Fatalf("round trip changed the frame: %+v != %+v", back, fr)
 			}
-			for i := range fr.Bins {
-				a, b := fr.Bins[i], back.Bins[i]
-				same := func(x, y float64) bool {
-					return math.Float64bits(x) == math.Float64bits(y)
-				}
-				if !same(real(a), real(b)) || !same(imag(a), imag(b)) {
-					t.Fatalf("bin %d changed in round trip: %v != %v", i, a, b)
+			for i, z := range bins {
+				wi, wq := math.Float32bits(float32(real(z))), math.Float32bits(float32(imag(z)))
+				if math.Float32bits(back.I[i]) != wi || math.Float32bits(back.Q[i]) != wq {
+					t.Fatalf("bin %d changed in round trip: %#x/%#x != %#x/%#x",
+						i, math.Float32bits(back.I[i]), math.Float32bits(back.Q[i]), wi, wq)
 				}
 			}
 		}
@@ -151,8 +171,10 @@ func FuzzDecodeHello(f *testing.F) {
 // checks the recovery contract's structural invariants: no panics, no
 // unbounded allocation (every recovered frame is CRC-framed data that
 // was physically present in the input, so the recovered wire size is
-// bounded by the input size), geometry always plausible, and the frame
-// count stable under re-reads and seeks.
+// bounded by the input size), geometry always plausible, only inputs
+// opening with the v1 file magic accepted (the v0 seed, a stream hello
+// followed by frames, must be refused), and the frame count stable
+// under re-reads and seeks.
 func FuzzCaptureReader(f *testing.F) {
 	whole := writeTestCapture(f, testHello, 5)
 	f.Add(whole)
@@ -163,11 +185,7 @@ func FuzzCaptureReader(f *testing.F) {
 	corrupt := append([]byte{}, whole...)
 	corrupt[captureHeaderSize+30] ^= 0xff // frame damage under a valid footer
 	f.Add(corrupt)
-	var v0 bytes.Buffer
-	if err := EncodeHello(&v0, testHello); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(append(v0.Bytes(), frameBytes(f, testFrame(0, int(testHello.NumBins)))...))
+	f.Add(v0Capture(f, 1)) // legacy hello+frames layout: must be refused
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {
@@ -176,6 +194,9 @@ func FuzzCaptureReader(f *testing.F) {
 		cr, err := NewCaptureReader(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		if !bytes.HasPrefix(data, captureMagic[:]) {
+			t.Fatalf("accepted a capture without the v1 magic (starts %x)", data[:min(len(data), 8)])
 		}
 		h := cr.Header()
 		if !plausibleHello(h.Hello) {
@@ -196,8 +217,8 @@ func FuzzCaptureReader(f *testing.F) {
 				}
 				break
 			}
-			if len(fr.Bins) != int(h.Hello.NumBins) {
-				t.Fatalf("frame %d has %d bins, header pins %d", read, len(fr.Bins), h.Hello.NumBins)
+			if len(fr.I) != int(h.Hello.NumBins) || len(fr.Q) != int(h.Hello.NumBins) {
+				t.Fatalf("frame %d has %d/%d bins, header pins %d", read, len(fr.I), len(fr.Q), h.Hello.NumBins)
 			}
 			read++
 			if read > cr.NumFrames() {
@@ -268,9 +289,10 @@ func FuzzCaptureRoundTrip(f *testing.F) {
 				if fr.Seq != frames[k].Seq || fr.TimestampMicros != frames[k].TimestampMicros {
 					t.Fatalf("frame %d header mismatch", k)
 				}
-				for i := range fr.Bins {
-					if fr.Bins[i] != frames[k].Bins[i] {
-						t.Fatalf("frame %d bin %d: %v != %v", k, i, fr.Bins[i], frames[k].Bins[i])
+				for i, z := range frames[k].Bins {
+					if math.Float32bits(fr.I[i]) != math.Float32bits(float32(real(z))) ||
+						math.Float32bits(fr.Q[i]) != math.Float32bits(float32(imag(z))) {
+						t.Fatalf("frame %d bin %d: %v%+vi != %v", k, i, fr.I[i], fr.Q[i], z)
 					}
 				}
 			}

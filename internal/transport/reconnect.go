@@ -2,7 +2,6 @@ package transport
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log"
 	"math/rand"
@@ -84,7 +83,9 @@ type ReconnectConfig struct {
 	// sequence gaps.
 	Resync bool
 	// MaxConsecutiveFailures aborts Run after this many dial failures
-	// in a row with the last error; 0 retries forever.
+	// in a row with the last error; 0 retries forever. Together with an
+	// OnConnect that refuses reconnects, 1 makes Run consume a single
+	// stream with no retry.
 	MaxConsecutiveFailures int
 	// OnSeqGap, when non-nil, runs on the Run goroutine whenever a
 	// forward sequence discontinuity is observed, with the number of
@@ -133,7 +134,7 @@ type ReconnectStats struct {
 	// EpochResets counts sequence numbers moving backwards — the
 	// daemon restarted its counter, so no loss can be attributed.
 	EpochResets uint64
-	// Frames counts frames delivered to the callback.
+	// Frames counts frames decoded and delivered to the callback.
 	Frames uint64
 	// Resyncs counts corrupt frames skipped in-stream (Resync mode).
 	Resyncs uint64
@@ -141,11 +142,13 @@ type ReconnectStats struct {
 	ResyncBytes uint64
 }
 
-// ReconnectingClient wraps Dial/Run with automatic reconnection so a
-// monitor survives a radar daemon restart instead of exiting: the
-// in-vehicle deployment expects transient link loss (ignition cycles,
-// daemon upgrades) as a matter of course. It is not safe for concurrent
-// Run calls; Stats and Hello may be read from other goroutines.
+// ReconnectingClient consumes a radar frame stream from a radard
+// server, feeding each frame to a callback on the Run goroutine, and
+// reconnects automatically so a monitor survives a radar daemon
+// restart instead of exiting: the in-vehicle deployment expects
+// transient link loss (ignition cycles, daemon upgrades) as a matter of
+// course. It is not safe for concurrent Run calls; Stats and Hello may
+// be read from other goroutines.
 type ReconnectingClient struct {
 	addr string
 	cfg  ReconnectConfig
@@ -159,6 +162,7 @@ type ReconnectingClient struct {
 	haveSeq   bool
 
 	// Metrics (nil-safe no-ops without a registry).
+	mFrames       *obs.Counter
 	mReconnects   *obs.Counter
 	mDialFailures *obs.Counter
 	mSeqGaps      *obs.Counter
@@ -170,6 +174,16 @@ type ReconnectingClient struct {
 
 // NewReconnectingClient builds a reconnecting consumer of the radar
 // stream at addr. Run does the dialling; nothing connects until then.
+// With cfg.Registry set it exports:
+//
+//	transport_client_frames_received_total  frames decoded from the wire
+//	transport_client_seq_gaps_total         discontinuities in the frame seq
+//	transport_client_seq_gap_frames_total   frames lost across all gaps
+//	transport_client_resyncs_total          corrupt frames skipped in-stream
+//	transport_client_resync_bytes_total     garbage bytes discarded realigning
+//	transport_reconnects_total              successful dials after the first
+//	transport_dial_failures_total           failed connection attempts
+//	transport_epoch_resets_total            sequence numbers moving backwards
 func NewReconnectingClient(addr string, cfg ReconnectConfig) *ReconnectingClient {
 	cfg.Backoff = cfg.Backoff.WithDefaults()
 	if cfg.DialTimeout <= 0 {
@@ -188,6 +202,7 @@ func NewReconnectingClient(addr string, cfg ReconnectConfig) *ReconnectingClient
 		rng:  rng,
 	}
 	if r := cfg.Registry; r != nil {
+		rc.mFrames = r.Counter("transport_client_frames_received_total")
 		rc.mReconnects = r.Counter("transport_reconnects_total")
 		rc.mDialFailures = r.Counter("transport_dial_failures_total")
 		rc.mSeqGaps = r.Counter("transport_client_seq_gaps_total")
@@ -214,19 +229,13 @@ func (rc *ReconnectingClient) Hello() (StreamHello, bool) {
 	return rc.hello, rc.haveHello
 }
 
-// callbackError marks an error raised by the consumer callback, which
-// must stop Run rather than trigger a reconnect.
-type callbackError struct{ err error }
-
-func (e *callbackError) Error() string { return e.err.Error() }
-func (e *callbackError) Unwrap() error { return e.err }
-
 // Run connects and pulls frames, reconnecting with exponential backoff
 // whenever the stream drops, until the context is cancelled, fn or a
 // geometry callback returns an error, or MaxConsecutiveFailures dial
 // attempts fail in a row. Frames are delivered in order; frames missed
-// while disconnected surface in Stats as sequence gaps.
-func (rc *ReconnectingClient) Run(ctx context.Context, fn func(Frame) error) error {
+// while disconnected surface in Stats as sequence gaps. Each frame's
+// planes are owned by the client and valid only until fn returns.
+func (rc *ReconnectingClient) Run(ctx context.Context, fn func(PlaneFrame) error) error {
 	backoff := rc.cfg.Backoff.Initial
 	failures := 0
 	for {
@@ -234,7 +243,7 @@ func (rc *ReconnectingClient) Run(ctx context.Context, fn func(Frame) error) err
 			return err
 		}
 		dialCtx, cancel := context.WithTimeout(ctx, rc.cfg.DialTimeout)
-		c, err := Dial(dialCtx, rc.addr)
+		c, err := dial(dialCtx, rc.addr, rc.cfg.ReadTimeout, rc.cfg.Resync)
 		cancel()
 		if err != nil {
 			if ctx.Err() != nil {
@@ -258,35 +267,41 @@ func (rc *ReconnectingClient) Run(ctx context.Context, fn func(Frame) error) err
 		failures = 0
 		backoff = rc.cfg.Backoff.Initial
 
-		if rc.cfg.ReadTimeout > 0 {
-			c.SetReadTimeout(rc.cfg.ReadTimeout)
-		}
-		if rc.cfg.Resync {
-			c.EnableResync()
-		}
-		if err := rc.connected(c.Hello()); err != nil {
-			c.Close()
+		if err := rc.connected(c.hello); err != nil {
+			c.nc.Close()
 			return err
 		}
 
-		err = c.Run(ctx, func(f Frame) error {
-			rc.trackSeq(f.Seq)
-			if err := fn(f); err != nil {
-				return &callbackError{err}
-			}
-			return nil
-		})
-		rc.harvestResyncs(c)
-		c.Close()
+		readErr, fnErr := rc.stream(ctx, c, fn)
+		rc.harvestResyncs(c.dec)
+		c.nc.Close()
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		var cb *callbackError
-		if errors.As(err, &cb) {
-			return cb.err
+		if fnErr != nil {
+			return fnErr
 		}
 		// Stream error or clean EOF: the daemon went away; reconnect.
-		rc.cfg.Logger.Printf("stream from %s ended: %v; reconnecting", rc.addr, err)
+		rc.cfg.Logger.Printf("stream from %s ended: %v; reconnecting", rc.addr, readErr)
+	}
+}
+
+// stream feeds fn from one connection until the read fails (readErr)
+// or fn does (fnErr). Cancellation is registered once per connection: it
+// closes the socket, which unblocks the pending read, so the per-frame
+// loop allocates nothing.
+func (rc *ReconnectingClient) stream(ctx context.Context, c *conn, fn func(PlaneFrame) error) (readErr, fnErr error) {
+	stop := context.AfterFunc(ctx, func() { c.nc.Close() })
+	defer stop()
+	for {
+		f, err := c.next()
+		if err != nil {
+			return err, nil
+		}
+		rc.trackSeq(f.Seq)
+		if err := fn(f); err != nil {
+			return nil, err
+		}
 	}
 }
 
@@ -330,6 +345,7 @@ func (rc *ReconnectingClient) trackSeq(seq uint64) {
 	var gap uint64
 	rc.mu.Lock()
 	rc.stats.Frames++
+	rc.mFrames.Inc()
 	switch {
 	case !rc.haveSeq:
 	case seq > rc.lastSeq+1:
@@ -353,8 +369,8 @@ func (rc *ReconnectingClient) trackSeq(seq uint64) {
 
 // harvestResyncs folds one connection's resync accounting into the
 // lifetime stats when the connection ends.
-func (rc *ReconnectingClient) harvestResyncs(c *Client) {
-	frames, skipped := c.Resyncs()
+func (rc *ReconnectingClient) harvestResyncs(dec *Decoder) {
+	frames, skipped := dec.Resyncs()
 	if frames == 0 && skipped == 0 {
 		return
 	}

@@ -71,7 +71,7 @@ func TestReconnectingClientSurvivesServerRestart(t *testing.T) {
 	defer cancelClient()
 	runDone := make(chan error, 1)
 	go func() {
-		runDone <- rc.Run(clientCtx, func(f Frame) error {
+		runDone <- rc.Run(clientCtx, func(f PlaneFrame) error {
 			mu.Lock()
 			seqs = append(seqs, f.Seq)
 			mu.Unlock()
@@ -201,7 +201,7 @@ func TestReconnectingClientHelloChange(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() {
-		runDone <- rc.Run(ctx, func(f Frame) error {
+		runDone <- rc.Run(ctx, func(f PlaneFrame) error {
 			select {
 			case got <- f.Seq:
 			default:
@@ -264,7 +264,7 @@ func TestReconnectingClientGivesUp(t *testing.T) {
 		DialTimeout:            200 * time.Millisecond,
 		MaxConsecutiveFailures: 3,
 	})
-	err = rc.Run(context.Background(), func(Frame) error { return nil })
+	err = rc.Run(context.Background(), func(PlaneFrame) error { return nil })
 	if err == nil {
 		t.Fatal("run against a dead address must eventually fail")
 	}
@@ -292,7 +292,7 @@ func TestReconnectingClientCallbackErrorStops(t *testing.T) {
 		Backoff:     fastBackoff(),
 		DialTimeout: time.Second,
 	})
-	err = rc.Run(context.Background(), func(Frame) error { return sentinel })
+	err = rc.Run(context.Background(), func(PlaneFrame) error { return sentinel })
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("run returned %v, want the consumer error", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"runtime"
@@ -69,15 +70,16 @@ func TestFrameRoundTripProperty(t *testing.T) {
 		if err := enc.Flush(); err != nil {
 			return false
 		}
-		got, err := NewDecoder(&buf).Decode()
+		got, err := NewDecoder(&buf).DecodePlanes()
 		if err != nil {
 			return false
 		}
-		if got.Seq != frame.Seq || got.TimestampMicros != frame.TimestampMicros || len(got.Bins) != n {
+		if got.Seq != frame.Seq || got.TimestampMicros != frame.TimestampMicros || len(got.I) != n || len(got.Q) != n {
 			return false
 		}
-		for i := range got.Bins {
-			if got.Bins[i] != frame.Bins[i] {
+		for i, z := range frame.Bins {
+			if math.Float32bits(got.I[i]) != math.Float32bits(float32(real(z))) ||
+				math.Float32bits(got.Q[i]) != math.Float32bits(float32(imag(z))) {
 				return false
 			}
 		}
@@ -99,7 +101,7 @@ func TestFrameCRCDetection(t *testing.T) {
 	}
 	raw := buf.Bytes()
 	raw[headerSize+2] ^= 0x01 // flip one payload bit
-	if _, err := NewDecoder(bytes.NewReader(raw)).Decode(); err == nil {
+	if _, err := NewDecoder(bytes.NewReader(raw)).DecodePlanes(); err == nil {
 		t.Fatal("bit flip must fail the CRC")
 	}
 }
@@ -111,54 +113,32 @@ func TestFrameValidation(t *testing.T) {
 	}
 	// Bad magic.
 	raw := make([]byte, headerSize)
-	if _, err := NewDecoder(bytes.NewReader(raw)).Decode(); err == nil {
+	if _, err := NewDecoder(bytes.NewReader(raw)).DecodePlanes(); err == nil {
 		t.Fatal("zero magic must be rejected")
 	}
 	// Clean EOF at a packet boundary.
-	if _, err := NewDecoder(bytes.NewReader(nil)).Decode(); !errors.Is(err, io.EOF) {
+	if _, err := NewDecoder(bytes.NewReader(nil)).DecodePlanes(); !errors.Is(err, io.EOF) {
 		t.Fatalf("empty stream error %v, want io.EOF", err)
 	}
 }
 
-func TestCaptureFileRoundTrip(t *testing.T) {
-	m, err := rf.NewFrameMatrix(7, 5, 25, 0.0107)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	for k := range m.Data {
-		for b := range m.Data[k] {
-			m.Data[k][b] = complex(float64(float32(rng.NormFloat64())), float64(float32(rng.NormFloat64())))
-		}
-	}
-	var buf bytes.Buffer
-	if err := WriteCapture(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCapture(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumFrames() != 7 || got.NumBins() != 5 || got.FrameRate != 25 {
-		t.Fatalf("round trip dims %dx%d", got.NumFrames(), got.NumBins())
-	}
-	for k := range m.Data {
-		for b := range m.Data[k] {
-			if got.Data[k][b] != m.Data[k][b] {
-				t.Fatalf("sample %d/%d differs", k, b)
-			}
-		}
-	}
-}
+// errOneStream stops a single-stream client when the server would be
+// redialled after the stream ends.
+var errOneStream = errors.New("stream ended")
 
-func TestReadCaptureEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	if err := EncodeHello(&buf, StreamHello{FrameRate: 25, BinSpacing: 0.01, NumBins: 4}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadCapture(&buf); err == nil {
-		t.Fatal("frameless capture must be rejected")
-	}
+// oneStream builds a client that consumes a single stream from addr
+// with no retry: one dial attempt, and reconnects refused.
+func oneStream(addr string, reg *obs.Registry) *ReconnectingClient {
+	return NewReconnectingClient(addr, ReconnectConfig{
+		MaxConsecutiveFailures: 1,
+		Registry:               reg,
+		OnConnect: func(_ StreamHello, reconnected bool) error {
+			if reconnected {
+				return errOneStream
+			}
+			return nil
+		},
+	})
 }
 
 // testMatrix builds a small capture for server tests.
@@ -190,21 +170,14 @@ func TestServerClientStream(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- server.Serve(ctx, ln) }()
 
-	client, err := Dial(ctx, ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	if got := client.Hello(); got.NumBins != 8 || got.FrameRate != 25 {
-		t.Fatalf("hello %+v", got)
-	}
+	client := oneStream(ln.Addr().String(), nil)
 	var frames int
-	err = client.Run(ctx, func(f Frame) error {
+	err = client.Run(ctx, func(f PlaneFrame) error {
 		if f.Seq != uint64(frames) {
 			t.Errorf("frame %d has seq %d", frames, f.Seq)
 		}
-		if f.Bins[0] != complex(float64(frames), 0) {
-			t.Errorf("frame %d payload %v", frames, f.Bins[0])
+		if f.I[0] != float32(frames) || f.Q[0] != 0 {
+			t.Errorf("frame %d payload %v%+vi", frames, f.I[0], f.Q[0])
 		}
 		frames++
 		return nil
@@ -216,6 +189,9 @@ func TestServerClientStream(t *testing.T) {
 	}
 	if frames != 50 {
 		t.Fatalf("received %d frames, want 50", frames)
+	}
+	if got, ok := client.Hello(); !ok || got.NumBins != 8 || got.FrameRate != 25 {
+		t.Fatalf("hello %+v", got)
 	}
 	<-done
 }
@@ -238,14 +214,8 @@ func TestServerMultipleClients(t *testing.T) {
 	counts := make(chan int, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			client, err := Dial(ctx, ln.Addr().String())
-			if err != nil {
-				counts <- -1
-				return
-			}
-			defer client.Close()
 			n := 0
-			client.Run(ctx, func(Frame) error { n++; return nil })
+			oneStream(ln.Addr().String(), nil).Run(ctx, func(PlaneFrame) error { n++; return nil })
 			counts <- n
 		}()
 	}
@@ -271,16 +241,11 @@ func TestClientContextCancel(t *testing.T) {
 	go server.Serve(serverCtx, ln)
 
 	ctx, cancel := context.WithCancel(context.Background())
-	client, err := Dial(ctx, ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
 	go func() {
 		time.Sleep(100 * time.Millisecond)
 		cancel()
 	}()
-	err = client.Run(ctx, func(Frame) error { return nil })
+	err = oneStream(ln.Addr().String(), nil).Run(ctx, func(PlaneFrame) error { return nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
 	}
@@ -362,15 +327,19 @@ func TestServerMetrics(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- server.Serve(ctx, ln) }()
 
-	client, err := Dial(ctx, ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
+	// Stop at the last frame by cancelling: the client never redials,
+	// so the server sees exactly one connection.
+	clientCtx, clientCancel := context.WithCancel(ctx)
+	defer clientCancel()
 	clientReg := obs.NewRegistry()
-	client.SetRegistry(clientReg)
 	var frames int
-	client.Run(ctx, func(Frame) error { frames++; return nil })
+	oneStream(ln.Addr().String(), clientReg).Run(clientCtx, func(f PlaneFrame) error {
+		frames++
+		if f.Seq == 19 {
+			clientCancel()
+		}
+		return nil
+	})
 	<-done
 
 	if got := reg.Counter("transport_server_frames_pumped_total").Value(); got != 20 {
@@ -387,6 +356,48 @@ func TestServerMetrics(t *testing.T) {
 	}
 	if got := clientReg.Counter("transport_client_seq_gaps_total").Value(); got != 0 {
 		t.Errorf("seq gaps = %d on an unbroken stream", got)
+	}
+}
+
+// TestClientReadLoopZeroAllocs pins the client's per-frame cost at
+// zero allocations: a frame is read (read deadline included) into the
+// decoder-owned planes and its sequence tracked, with cancellation
+// registered once per connection rather than per frame.
+func TestClientReadLoopZeroAllocs(t *testing.T) {
+	// Fewer frames than the server's per-client queue, so the unpaced
+	// source can never overrun it.
+	const frames = clientQueue - 10
+	src := NewMatrixSource(testMatrix(t, frames), false, false)
+	defer src.Close()
+	server := NewServer(src, nil)
+	server.SetMinClients(1)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- server.Serve(ctx, ln) }()
+
+	rc := NewReconnectingClient(ln.Addr().String(), ReconnectConfig{Registry: obs.NewRegistry()})
+	c, err := dial(ctx, ln.Addr().String(), 5*time.Second, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.nc.Close()
+	// Wait for the finite stream to sit whole in the socket, so no
+	// server goroutine allocates while the client is measured.
+	<-done
+	allocs := testing.AllocsPerRun(frames-10, func() {
+		f, err := c.next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc.trackSeq(f.Seq)
+	})
+	if allocs != 0 {
+		t.Fatalf("client read loop allocates %.1f times per frame, want 0", allocs)
 	}
 }
 
